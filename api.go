@@ -325,15 +325,14 @@ const (
 // NumFeatures is the width of the feature vector (491 API features).
 const NumFeatures = 491
 
-// Inference precisions for ServerOptions.BinaryPrecision, Scorer.EnsurePlan
-// and Scorer.Verdicts32. Float64 is the accuracy reference every other
-// precision is parity-tested against; float32 is the register-tiled hot
-// path binary-framed requests use by default; int8 is the opt-in
-// quantized variant (smaller weights, scalar kernels).
+// Inference precisions for Scorer.EnsurePlan and Scorer.Verdicts32.
+// Float64 is the accuracy reference float32 is parity-tested against;
+// float32 is the register-tiled hot path a daemon scores binary frames
+// on, except for defended models and models whose weights do not compile
+// to float32, which stay on float64.
 const (
 	PrecisionFloat64 = serve.PrecisionFloat64
 	PrecisionFloat32 = serve.PrecisionFloat32
-	PrecisionInt8    = serve.PrecisionInt8
 )
 
 // Scoring request codecs for Client.Codec.

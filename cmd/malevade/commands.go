@@ -192,7 +192,7 @@ func cmdScore(args []string) error {
 	batch := fs.Int("batch", 256, "max rows per merged forward pass")
 	clients := fs.Int("clients", 8, "concurrent client goroutines submitting rows")
 	precision := fs.String("precision", serve.PrecisionFloat64,
-		"inference precision: float64 (reference), float32 (tiled hot path), or int8 (quantized)")
+		"inference precision: float64 (reference) or float32 (tiled hot path)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

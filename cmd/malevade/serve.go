@@ -28,8 +28,6 @@ func cmdServe(args []string) error {
 		`servable defense chain as JSON, e.g. '[{"kind":"squeeze","bits":3,"threshold":0.2}]' (data-consuming defenses are built offline; see docs/ERRORS.md and ApplyDefenses)`)
 	registryDir := fs.String("registry", "",
 		"model-registry directory: serve named, versioned detectors via /v1/models (contents survive restarts)")
-	precision := fs.String("precision", serve.PrecisionFloat32,
-		"inference precision for binary-framed requests: float32, int8, or float64 (JSON requests always use the float64 reference)")
 	record := fs.Int("record", 0,
 		"record every Nth served score/label row into the results store for 'malevade mine' (0 = off; requires -registry)")
 	obsf := observabilityFlags(fs)
@@ -50,16 +48,15 @@ func cmdServe(args []string) error {
 		}
 	}
 	srv, err := server.New(server.Options{
-		ModelPath:       *modelPath,
-		Temperature:     *temp,
-		Scorer:          serve.Options{Workers: *workers, MaxBatch: *batch},
-		MaxRows:         *maxRows,
-		MaxBodyBytes:    *maxBytes,
-		Defenses:        defenses,
-		RegistryDir:     *registryDir,
-		BinaryPrecision: *precision,
-		RecordTraffic:   *record,
-		Logger:          logger,
+		ModelPath:     *modelPath,
+		Temperature:   *temp,
+		Scorer:        serve.Options{Workers: *workers, MaxBatch: *batch},
+		MaxRows:       *maxRows,
+		MaxBodyBytes:  *maxBytes,
+		Defenses:      defenses,
+		RegistryDir:   *registryDir,
+		RecordTraffic: *record,
+		Logger:        logger,
 	})
 	if err != nil {
 		return err

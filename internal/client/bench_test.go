@@ -99,22 +99,6 @@ func BenchmarkDirectScoreF32(b *testing.B) {
 	b.ReportMetric(float64(benchBatch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkDirectScoreInt8 is the opt-in int8-quantized variant of the
-// same workload.
-func BenchmarkDirectScoreInt8(b *testing.B) {
-	benchSetup(b)
-	if err := benchScorer.EnsurePlan(serve.PrecisionInt8); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchScorer.Verdicts32(benchX32, serve.PrecisionInt8); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchBatch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
 // BenchmarkClientScore drives the identical batches through the client
 // SDK against the live localhost daemon.
 func BenchmarkClientScore(b *testing.B) {

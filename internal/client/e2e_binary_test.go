@@ -198,11 +198,11 @@ func TestClientStatsUniform(t *testing.T) {
 	if got := st.Requests - base.Requests; got != 4 {
 		t.Fatalf("requests advanced %d, want 4", got)
 	}
-	// The batches/rows counters belong to the default-slot engine; the
-	// two model-addressed calls advance "alt"'s request counter instead,
-	// identically for JSON and binary.
-	if got := st.Rows - base.Rows; got != int64(2*x.Rows) {
-		t.Fatalf("rows advanced %d, want %d", got, 2*x.Rows)
+	// The batches/rows counters cover every engine, registry models
+	// included; the two model-addressed calls also advance "alt"'s request
+	// counter, identically for JSON and binary.
+	if got := st.Rows - base.Rows; got != int64(4*x.Rows) {
+		t.Fatalf("rows advanced %d, want %d", got, 4*x.Rows)
 	}
 	if got := st.ModelRequests["alt"] - base.ModelRequests["alt"]; got != 2 {
 		t.Fatalf("alt model_requests advanced %d, want 2", got)

@@ -64,6 +64,13 @@ func (f *fakeCampaigns) Submit(sp campaign.Spec) (campaign.Snapshot, error) {
 	return campaign.Snapshot{ID: id, Spec: sp, Status: campaign.StatusRunning, StartedAt: time.Now()}, nil
 }
 
+// submitted reads the submit count under the lock.
+func (f *fakeCampaigns) submitted() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.submits
+}
+
 func (f *fakeCampaigns) Get(id string, offset int) (campaign.Snapshot, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -624,8 +631,8 @@ func TestHardenUserCancelPersists(t *testing.T) {
 		t.Fatalf("after restart: ok=%v status=%v, want cancelled history", ok, got.Status)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if camps2.submits != 0 {
-		t.Errorf("cancelled job resumed after restart (%d campaigns submitted)", camps2.submits)
+	if n := camps2.submitted(); n != 0 {
+		t.Errorf("cancelled job resumed after restart (%d campaigns submitted)", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snap.ID+"-craft.gob")); !os.IsNotExist(err) {
 		t.Errorf("cancelled job's crafting snapshot still on disk (err %v)", err)
@@ -686,6 +693,13 @@ func TestHardenQueuedCancelAndEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitHardenStatus(t, e, running.ID, func(s spec.Snapshot) bool { return s.Status == spec.StatusRunning }, "first job to start")
+	// The running job turns "running" before it submits its (gated)
+	// campaign; wait for that submit so the count below is settled.
+	for deadline := time.Now().Add(120 * time.Second); camps.submitted() < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the running job's campaign")
+		}
+	}
 	queued, err := e.Submit(validSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -696,8 +710,8 @@ func TestHardenQueuedCancelAndEviction(t *testing.T) {
 	if st, err := readState(filepath.Join(dir, queued.ID+".json")); err != nil || st.Snapshot.Status != spec.StatusCancelled {
 		t.Fatalf("queued cancel not persisted: %v / %+v", err, st.Snapshot.Status)
 	}
-	if camps.submits != 1 {
-		t.Errorf("cancelled-while-queued job submitted a campaign (%d submits)", camps.submits)
+	if n := camps.submitted(); n != 1 {
+		t.Errorf("cancelled-while-queued job submitted a campaign (%d submits)", n)
 	}
 
 	// Two more terminal jobs push history past MaxHistory=2: the oldest

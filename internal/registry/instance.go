@@ -128,21 +128,18 @@ func (i *Instance) signalDrained() {
 	i.drainOnce.Do(func() { close(i.drained) })
 }
 
-// Retire drains a swapped-out instance and closes its engine, returning the
-// engine's batch/row counters so callers can fold them into cumulative
-// stats. The drain blocks on a channel the last Release closes — no
-// polling. Any ref taken after the retired count was observed at zero
-// belongs to an Acquire that will fail its recheck without touching the
-// engine, so closing it then is safe.
-func (i *Instance) Retire() (batches, rows int64) {
+// Retire drains a swapped-out instance and closes its engine. The drain
+// blocks on a channel the last Release closes — no polling. Any ref taken
+// after the retired count was observed at zero belongs to an Acquire that
+// will fail its recheck without touching the engine, so closing it then is
+// safe.
+func (i *Instance) Retire() {
 	i.retired.Store(true)
 	if i.refs.Load() == 0 {
 		i.signalDrained()
 	}
 	<-i.drained
-	batches, rows = i.Scorer.Stats()
 	i.Scorer.Close()
-	return batches, rows
 }
 
 // CountRequest bumps the owning model's served-request counter (a no-op

@@ -47,11 +47,12 @@ type Options struct {
 	// QueueDepth is the pending-request queue capacity (default
 	// 4×Workers).
 	QueueDepth int
-	// Obs, when set, receives engine metrics: a coalesced-batch-size
-	// histogram (malevade_serve_batch_rows) shared by every scorer built
-	// against the same registry. Queue depth and in-flight counts are
-	// exposed as accessors instead — the serving layer aggregates them
-	// across live engines into gauges.
+	// Obs, when set, holds the engine's instruments: the forward-pass and
+	// row counters (see Counters) and the coalesced-batch-size histogram
+	// (malevade_serve_batch_rows), shared by every scorer built against
+	// the same registry. Nil gives the scorer private instruments. Queue
+	// depth and in-flight counts are exposed as accessors instead — the
+	// serving layer aggregates them across live engines into gauges.
 	Obs *obs.Registry
 }
 
@@ -94,16 +95,19 @@ type Scorer struct {
 	reqs   chan *request
 	wg     sync.WaitGroup
 
-	batches  atomic.Int64 // merged batches executed
-	rows     atomic.Int64 // rows scored
 	inflight atomic.Int64 // requests submitted but not yet completed
 
-	batchRows *obs.Histogram // nil without Options.Obs
+	// Forward passes executed, rows scored and rows per pass; shared with
+	// every scorer on the same Options.Obs registry.
+	batches   *obs.Counter
+	rows      *obs.Counter
+	batchRows *obs.Histogram
 
-	// Lazily compiled reduced-precision plans for the float32/int8 direct
-	// scoring path (see serve32.go). Compilation is once per precision.
-	planF32  planSlot
-	planInt8 planSlot
+	// The float32 plan behind the direct scoring path (see serve32.go),
+	// compiled once on first use.
+	planOnce sync.Once
+	plan32   *nn.Plan32
+	planErr  error
 }
 
 var _ detector.Detector = (*Scorer)(nil)
@@ -112,20 +116,45 @@ var _ detector.Detector = (*Scorer)(nil)
 // probability head (0 means 1). Callers must Close the scorer to release
 // its workers.
 func New(net *nn.Network, temperature float64, opts Options) *Scorer {
-	if temperature <= 0 {
-		temperature = 1
-	}
-	s := &Scorer{net: net, temp: temperature, opts: opts.withDefaults()}
-	if s.opts.Obs != nil {
-		s.batchRows = s.opts.Obs.Histogram("malevade_serve_batch_rows",
-			"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
-	}
-	s.reqs = make(chan *request, s.opts.QueueDepth)
+	s := newScorer(net, temperature, opts)
 	s.wg.Add(s.opts.Workers)
 	for i := 0; i < s.opts.Workers; i++ {
 		go s.worker()
 	}
 	return s
+}
+
+// newScorer builds a scorer with its queue and instruments but starts no
+// workers.
+func newScorer(net *nn.Network, temperature float64, opts Options) *Scorer {
+	if temperature <= 0 {
+		temperature = 1
+	}
+	s := &Scorer{net: net, temp: temperature, opts: opts.withDefaults()}
+	reg := s.opts.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.batches, s.rows = Counters(reg)
+	s.batchRows = reg.Histogram("malevade_serve_batch_rows",
+		"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
+	s.reqs = make(chan *request, s.opts.QueueDepth)
+	return s
+}
+
+// Counters returns the engine counters every Scorer built with
+// Options.Obs = reg advances: forward passes executed and rows scored.
+func Counters(reg *obs.Registry) (batches, rows *obs.Counter) {
+	return reg.Counter("malevade_serve_batches_total", "Forward passes executed by every scoring engine."),
+		reg.Counter("malevade_serve_rows_total", "Rows scored by every scoring engine.")
+}
+
+// account records one executed forward pass of n rows, on the pooled and
+// the direct float32 path alike.
+func (s *Scorer) account(n int) {
+	s.batches.Inc()
+	s.rows.Add(int64(n))
+	s.batchRows.Observe(float64(n))
 }
 
 // worker owns one nn.Workspace and a reusable merge buffer for its whole
@@ -173,14 +202,10 @@ func (s *Scorer) worker() {
 
 // score runs one merged batch and scatters logits back to each request.
 func (s *Scorer) score(ws *nn.Workspace, merged *tensor.Matrix, pend []*request) *tensor.Matrix {
-	s.batches.Add(1)
 	if len(pend) == 1 {
 		r := pend[0]
 		r.logits.CopyFrom(s.net.Infer(ws, r.x))
-		s.rows.Add(int64(r.x.Rows))
-		if s.batchRows != nil {
-			s.batchRows.Observe(float64(r.x.Rows))
-		}
+		s.account(r.x.Rows)
 		s.inflight.Add(-1)
 		close(r.done)
 		return merged
@@ -188,9 +213,6 @@ func (s *Scorer) score(ws *nn.Workspace, merged *tensor.Matrix, pend []*request)
 	total := 0
 	for _, r := range pend {
 		total += r.x.Rows
-	}
-	if s.batchRows != nil {
-		s.batchRows.Observe(float64(total))
 	}
 	if merged == nil || merged.Rows != total {
 		merged = tensor.New(total, s.net.InDim())
@@ -201,12 +223,12 @@ func (s *Scorer) score(ws *nn.Workspace, merged *tensor.Matrix, pend []*request)
 		off += len(r.x.Data)
 	}
 	logits := s.net.Infer(ws, merged)
+	s.account(total)
 	off = 0
 	for _, r := range pend {
 		n := r.x.Rows * logits.Cols
 		copy(r.logits.Data, logits.Data[off:off+n])
 		off += n
-		s.rows.Add(int64(r.x.Rows))
 		s.inflight.Add(-1)
 		close(r.done)
 	}
@@ -337,10 +359,11 @@ func (s *Scorer) InDim() int { return s.net.InDim() }
 // OutDim returns the logits width.
 func (s *Scorer) OutDim() int { return s.net.OutDim() }
 
-// Stats reports how many merged batches have executed and how many rows
-// they carried; rows/batches is the mean coalescing factor.
+// Stats reports how many forward passes have executed and how many rows
+// they carried; rows/batches is the mean coalescing factor. With a shared
+// Options.Obs registry the counts cover every scorer built against it.
 func (s *Scorer) Stats() (batches, rows int64) {
-	return s.batches.Load(), s.rows.Load()
+	return s.batches.Value(), s.rows.Value()
 }
 
 // InFlight reports how many submitted requests have not yet completed —

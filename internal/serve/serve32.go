@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 
 	"malevade/internal/dataset"
 	"malevade/internal/nn"
@@ -11,65 +10,44 @@ import (
 
 // Precision names for the scoring paths a Scorer can run. Float64 is the
 // accuracy reference and the only path the training/attack code ever
-// uses; Float32 is the binary-framing hot path (vector kernels, ~bounded
-// drift pinned by internal/nn's parity tests); Int8 is the memory-lean
-// variant behind explicit opt-in.
+// uses; Float32 is the binary-framing hot path (vector kernels, drift
+// bounded by internal/nn's parity tests).
 const (
 	PrecisionFloat64 = "float64"
 	PrecisionFloat32 = nn.PrecisionF32
-	PrecisionInt8    = nn.PrecisionInt8
 )
 
-// ValidPrecision reports whether p names a scoring precision.
-func ValidPrecision(p string) bool {
-	return p == PrecisionFloat64 || p == PrecisionFloat32 || p == PrecisionInt8
-}
-
-// planSlot lazily compiles one reduced-precision plan exactly once.
-type planSlot struct {
-	once sync.Once
-	plan *nn.Plan32
-	err  error
-}
-
+// plan returns the lazily compiled float32 plan; precision must be
+// PrecisionFloat32.
 func (s *Scorer) plan(precision string) (*nn.Plan32, error) {
-	var slot *planSlot
-	var compile func() (*nn.Plan32, error)
-	switch precision {
-	case PrecisionFloat32:
-		slot, compile = &s.planF32, s.net.CompileF32
-	case PrecisionInt8:
-		slot, compile = &s.planInt8, s.net.CompileInt8
-	default:
+	if precision != PrecisionFloat32 {
 		return nil, fmt.Errorf("serve: no reduced-precision plan for %q", precision)
 	}
-	slot.once.Do(func() {
-		slot.plan, slot.err = compile()
+	s.planOnce.Do(func() {
+		s.plan32, s.planErr = s.net.CompileF32()
 	})
-	return slot.plan, slot.err
+	return s.plan32, s.planErr
 }
 
 // EnsurePlan compiles (and caches) the plan for the given precision, so
-// servers can fail at startup rather than on the first request.
-// PrecisionFloat64 needs no plan and always succeeds.
+// callers can fail at startup rather than on the first request.
+// PrecisionFloat64 needs no plan and always succeeds; any precision other
+// than PrecisionFloat32 is an error.
 func (s *Scorer) EnsurePlan(precision string) error {
 	if precision == PrecisionFloat64 {
 		return nil
-	}
-	if !ValidPrecision(precision) {
-		return fmt.Errorf("serve: unknown precision %q", precision)
 	}
 	_, err := s.plan(precision)
 	return err
 }
 
 // Logits32 scores a float32 batch through the compiled plan for the given
-// precision (PrecisionFloat32 or PrecisionInt8) and returns fresh float32
-// logits. Unlike Logits it bypasses the worker pool: binary-framed
-// requests arrive pre-batched, so the coalescing queue would only add
-// latency. The batches/rows statistics advance exactly as on the pooled
-// path, so /v1/stats sees this traffic. Safe for concurrent callers;
-// panics if the scorer is closed or the input width is wrong.
+// precision (PrecisionFloat32) and returns fresh float32 logits. Unlike
+// Logits it bypasses the worker pool: binary-framed requests arrive
+// pre-batched, so the coalescing queue would only add latency. The batch
+// is accounted exactly as a pooled forward pass (counters and batch-rows
+// histogram). Safe for concurrent callers; panics if the scorer is closed
+// or the input width is wrong.
 func (s *Scorer) Logits32(x *tensor.Matrix32, precision string) (*tensor.Matrix32, error) {
 	if x.Cols != s.net.InDim() {
 		panic(fmt.Sprintf("serve: input width %d, want %d", x.Cols, s.net.InDim()))
@@ -86,16 +64,14 @@ func (s *Scorer) Logits32(x *tensor.Matrix32, precision string) (*tensor.Matrix3
 	s.mu.RUnlock()
 	out := p.Logits(x)
 	if x.Rows > 0 {
-		s.batches.Add(1)
-		s.rows.Add(int64(x.Rows))
+		s.account(x.Rows)
 	}
 	return out, nil
 }
 
-// Verdicts32 is the reduced-precision analogue of the server's render
-// path: it scores the batch at the given precision and returns, per row,
-// the malware probability under the scorer's softmax temperature and the
-// argmax class.
+// Verdicts32 scores the batch through Logits32 and returns, per row, the
+// malware probability under the scorer's softmax temperature and the
+// argmax class — the float32 branch of the server's verdict path.
 func (s *Scorer) Verdicts32(x *tensor.Matrix32, precision string) (probs []float64, classes []int, err error) {
 	logits, err := s.Logits32(x, precision)
 	if err != nil {

@@ -32,29 +32,20 @@ func TestVerdicts32Parity(t *testing.T) {
 	s, x := test32Scorer(t, 2)
 	refProbs := s.MalwareProb(x)
 	refClasses := s.Predict(x)
-	for _, tc := range []struct {
-		precision string
-		maxDelta  float64
-		margin    float64
-	}{
-		{PrecisionFloat32, 1e-3, 1e-3},
-		{PrecisionInt8, 0.05, 0.05},
-	} {
-		probs, classes, err := s.Verdicts32(tensor.ToFloat32(x), tc.precision)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.precision, err)
+	probs, classes, err := s.Verdicts32(tensor.ToFloat32(x), PrecisionFloat32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) != x.Rows || len(classes) != x.Rows {
+		t.Fatalf("%d probs / %d classes for %d rows", len(probs), len(classes), x.Rows)
+	}
+	for i := range probs {
+		if d := math.Abs(probs[i] - refProbs[i]); d > 1e-3 {
+			t.Fatalf("row %d: prob %g vs reference %g (delta %g)", i, probs[i], refProbs[i], d)
 		}
-		if len(probs) != x.Rows || len(classes) != x.Rows {
-			t.Fatalf("%s: %d probs / %d classes for %d rows", tc.precision, len(probs), len(classes), x.Rows)
-		}
-		for i := range probs {
-			if d := math.Abs(probs[i] - refProbs[i]); d > tc.maxDelta {
-				t.Fatalf("%s row %d: prob %g vs reference %g (delta %g)", tc.precision, i, probs[i], refProbs[i], d)
-			}
-			if classes[i] != refClasses[i] && math.Abs(refProbs[i]-0.5) >= tc.margin {
-				t.Fatalf("%s row %d: confident label flipped (%d vs %d, ref prob %g)",
-					tc.precision, i, classes[i], refClasses[i], refProbs[i])
-			}
+		if classes[i] != refClasses[i] && math.Abs(refProbs[i]-0.5) >= 1e-3 {
+			t.Fatalf("row %d: confident label flipped (%d vs %d, ref prob %g)",
+				i, classes[i], refClasses[i], refProbs[i])
 		}
 	}
 }
@@ -79,14 +70,10 @@ func TestEnsurePlan(t *testing.T) {
 	if err := s.EnsurePlan(PrecisionFloat32); err != nil {
 		t.Fatalf("float32: %v", err)
 	}
-	if err := s.EnsurePlan(PrecisionInt8); err != nil {
-		t.Fatalf("int8: %v", err)
-	}
-	if err := s.EnsurePlan("float16"); err == nil {
-		t.Fatal("expected error for unknown precision")
-	}
-	if ValidPrecision("float16") || !ValidPrecision(PrecisionInt8) || !ValidPrecision(PrecisionFloat64) {
-		t.Fatal("ValidPrecision misclassifies")
+	for _, unknown := range []string{"int8", "float16"} {
+		if err := s.EnsurePlan(unknown); err == nil {
+			t.Fatalf("expected error for unknown precision %q", unknown)
+		}
 	}
 }
 

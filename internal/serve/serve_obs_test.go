@@ -9,10 +9,11 @@ import (
 	"malevade/internal/tensor"
 )
 
-// TestInFlightAndQueueDepth drives concurrent traffic through an
-// instrumented scorer and checks that the saturation accessors return to
-// zero at quiescence, that the lifetime counters agree with Stats, and
-// that the shared batch-rows histogram saw every batch.
+// TestInFlightAndQueueDepth drives concurrent pooled traffic plus one
+// direct float32 frame through an instrumented scorer and checks that the
+// saturation accessors return to zero at quiescence, that the lifetime
+// counters agree with Stats, and that the shared batch-rows histogram saw
+// every batch of both paths.
 func TestInFlightAndQueueDepth(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(testNet(t), 1, Options{Workers: 2, MaxBatch: 8, Obs: reg})
@@ -34,6 +35,9 @@ func TestInFlightAndQueueDepth(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if _, err := s.Logits32(tensor.New32(5, s.InDim()), PrecisionFloat32); err != nil {
+		t.Fatal(err)
+	}
 
 	if s.InFlight() != 0 {
 		t.Fatalf("in-flight %d after quiescence, want 0", s.InFlight())
@@ -42,8 +46,8 @@ func TestInFlightAndQueueDepth(t *testing.T) {
 		t.Fatalf("queue depth %d after quiescence, want 0", s.QueueDepth())
 	}
 	batches, rows := s.Stats()
-	if rows != 8*20*3 {
-		t.Fatalf("rows %d, want %d", rows, 8*20*3)
+	if rows != 8*20*3+5 {
+		t.Fatalf("rows %d, want %d", rows, 8*20*3+5)
 	}
 
 	var b strings.Builder
@@ -51,6 +55,9 @@ func TestInFlightAndQueueDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
+	if !strings.Contains(out, "malevade_serve_batches_total "+itoa(batches)) {
+		t.Errorf("batches_total != Stats batches (%d):\n%s", batches, out)
+	}
 	if !strings.Contains(out, "malevade_serve_batch_rows_count "+itoa(batches)) {
 		t.Errorf("histogram count != batches (%d):\n%s", batches, out)
 	}
@@ -60,8 +67,8 @@ func TestInFlightAndQueueDepth(t *testing.T) {
 }
 
 // TestSharedRegistryAcrossScorers verifies two engines built against one
-// registry share the batch-rows histogram instead of fighting over the
-// family name.
+// registry share the batch-rows histogram and the batch/row counters
+// instead of fighting over the family names.
 func TestSharedRegistryAcrossScorers(t *testing.T) {
 	reg := obs.NewRegistry()
 	net := testNet(t)
@@ -75,6 +82,9 @@ func TestSharedRegistryAcrossScorers(t *testing.T) {
 		"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
 	if h.Count() != 2 {
 		t.Fatalf("shared histogram count %d, want 2", h.Count())
+	}
+	if batches, rows := a.Stats(); batches != 2 || rows != 2 {
+		t.Fatalf("shared counters %d batches / %d rows, want 2 / 2", batches, rows)
 	}
 }
 

@@ -132,8 +132,7 @@ func TestScorerConcurrentHammer(t *testing.T) {
 // opportunistically.
 func TestScorerCoalesces(t *testing.T) {
 	net := testNet(t)
-	s := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 64, QueueDepth: 16}.withDefaults()}
-	s.reqs = make(chan *request, 16)
+	s := newScorer(net, 1, Options{Workers: 1, MaxBatch: 64, QueueDepth: 16})
 
 	const nReqs = 5
 	outs := make([]*tensor.Matrix, nReqs)
@@ -174,8 +173,7 @@ func TestScorerCoalesces(t *testing.T) {
 // current one.
 func TestScorerRespectsBatchCap(t *testing.T) {
 	net := testNet(t)
-	s := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 4, QueueDepth: 16}.withDefaults()}
-	s.reqs = make(chan *request, 16)
+	s := newScorer(net, 1, Options{Workers: 1, MaxBatch: 4, QueueDepth: 16})
 	const nReqs = 3
 	for i := 0; i < nReqs; i++ {
 		x := randomBatch(uint64(300+i), 4, net.InDim()) // exactly MaxBatch rows
@@ -192,8 +190,7 @@ func TestScorerRespectsBatchCap(t *testing.T) {
 	// 4 queued requests of 3 rows under MaxBatch 6: merging pairs is
 	// allowed (3+3=6), a third would overflow (9>6) and must carry over —
 	// so exactly 2 merged batches, never one of 9+ rows.
-	s2 := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 6, QueueDepth: 16}.withDefaults()}
-	s2.reqs = make(chan *request, 16)
+	s2 := newScorer(net, 1, Options{Workers: 1, MaxBatch: 6, QueueDepth: 16})
 	for i := 0; i < 4; i++ {
 		x := randomBatch(uint64(310+i), 3, net.InDim())
 		s2.reqs <- &request{x: x, logits: tensor.New(3, net.OutDim()), done: make(chan struct{})}

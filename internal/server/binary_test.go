@@ -34,7 +34,7 @@ func mustFrame32(t *testing.T, model string, rows, cols int, values []float32) [
 }
 
 // frameRows are exactly float32-representable, so the float64-fallback
-// paths (defended model, BinaryPrecision float64) must answer
+// path (defended model) must answer
 // bit-identically to the JSON path over the same values.
 func frameRows(rows, cols int) ([]float32, [][]float64) {
 	f32 := make([]float32, rows*cols)
@@ -225,40 +225,21 @@ func TestBinaryErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestBinaryPrecisionVariants: every BinaryPrecision routes binary frames
-// to a working scorer; float64 must answer bit-identically to JSON over
-// float32-representable values, and an unknown precision refuses to boot.
+// TestBinaryPrecisionVariants: binary frames score on the float32 plan,
+// within its parity budget of the float64 JSON path, and the frame's rows
+// are counted under the float32 precision label.
 func TestBinaryPrecisionVariants(t *testing.T) {
-	dir := t.TempDir()
-	path, _ := saveTestNet(t, dir, "model.gob", []int{3, 8, 2}, 7)
+	s, _ := newTestServer(t, Options{})
 	f32, f64 := frameRows(6, 3)
-	var refResults []ScoreResult
-	for _, precision := range []string{serve.PrecisionFloat64, serve.PrecisionFloat32, serve.PrecisionInt8} {
-		s, err := New(Options{ModelPath: path, BinaryPrecision: precision})
-		if err != nil {
-			t.Fatal(err)
+	jsonResp := decodeScore(t, postJSON(t, s, "/v1/score", scoreBody(f64)))
+	binResp := decodeScore(t, postFrame(t, s, "/v1/score", mustFrame32(t, "", 6, 3, f32)))
+	for i, r := range binResp.Results {
+		if d := math.Abs(r.Prob - jsonResp.Results[i].Prob); d > 1e-3 {
+			t.Errorf("row %d: prob %g vs %g (delta %g > 1e-3)", i, r.Prob, jsonResp.Results[i].Prob, d)
 		}
-		jsonResp := decodeScore(t, postJSON(t, s, "/v1/score", scoreBody(f64)))
-		binResp := decodeScore(t, postFrame(t, s, "/v1/score", mustFrame32(t, "", 6, 3, f32)))
-		if refResults == nil {
-			refResults = jsonResp.Results
-		}
-		budget := 0.05 // int8
-		switch precision {
-		case serve.PrecisionFloat64:
-			budget = 0 // exact: same engine, exactly representable inputs
-		case serve.PrecisionFloat32:
-			budget = 1e-3
-		}
-		for i, r := range binResp.Results {
-			if d := math.Abs(r.Prob - refResults[i].Prob); d > budget {
-				t.Errorf("%s row %d: prob %g vs %g (delta %g > %g)", precision, i, r.Prob, refResults[i].Prob, d, budget)
-			}
-		}
-		s.Close()
 	}
-	if _, err := New(Options{ModelPath: path, BinaryPrecision: "float16"}); err == nil {
-		t.Fatal("unknown BinaryPrecision accepted")
+	if got := s.precisionRows.With(serve.PrecisionFloat32).Value(); got != 6 {
+		t.Errorf("float32 precision rows %d, want 6", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"malevade/internal/obs"
+	"malevade/internal/registry"
 )
 
 // scrape GETs /metrics through the full middleware-wrapped handler and
@@ -68,13 +69,7 @@ func TestE2EMetricsStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	var stats StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("decoding /v1/stats: %v", err)
-	}
+	stats := getStats(t, s)
 	metrics, raw := scrape(t, s)
 
 	parity := []struct {
@@ -119,16 +114,69 @@ func TestE2EMetricsStatsParity(t *testing.T) {
 	if problems := obs.Lint(raw); len(problems) != 0 {
 		t.Errorf("scrape lint: %v", problems)
 	}
+
+	// Rows scored through a named registry model reach both views: a
+	// model-addressed JSON label and a model-addressed binary frame each
+	// advance malevade_serve_rows_total and /v1/stats rows by their rows.
+	altPath, _ := saveTestNet(t, dir, "alt.gob", []int{3, 10, 2}, 23)
+	if _, err := s.Registry().Register(registry.RegisterRequest{Name: "alt", Path: altPath}); err != nil {
+		t.Fatal(err)
+	}
+	f32, _ := frameRows(4, 3)
+	for _, tc := range []struct {
+		name string
+		post func() *httptest.ResponseRecorder
+		rows int64
+	}{
+		{"json label", func() *httptest.ResponseRecorder {
+			return postJSON(t, s, "/v1/label", `{"model":"alt","rows":[[0.1,0.2,0.3],[1,0,1],[0,1,0]]}`)
+		}, 3},
+		{"binary frame", func() *httptest.ResponseRecorder {
+			return postFrame(t, s, "/v1/score", mustFrame32(t, "alt", 4, 3, f32))
+		}, 4},
+	} {
+		statsBefore := getStats(t, s)
+		metricsBefore, _ := scrape(t, s)
+		if w := tc.post(); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body)
+		}
+		statsAfter := getStats(t, s)
+		metricsAfter, _ := scrape(t, s)
+		if got := statsAfter.Rows - statsBefore.Rows; got != tc.rows {
+			t.Errorf("%s: /v1/stats rows advanced %d, want %d", tc.name, got, tc.rows)
+		}
+		if got := metricsAfter["malevade_serve_rows_total"] - metricsBefore["malevade_serve_rows_total"]; got != float64(tc.rows) {
+			t.Errorf("%s: malevade_serve_rows_total advanced %v, want %d", tc.name, got, tc.rows)
+		}
+	}
+}
+
+// getStats GETs /v1/stats through the full handler.
+func getStats(t *testing.T, s *Server) StatsResponse {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	return stats
 }
 
 // TestMetricsScrapeHammer scrapes /metrics concurrently with scoring
 // traffic and hot reloads under the race detector, asserting every
 // scrape stays lint-clean and the cumulative counters never move
-// backwards — the retired-generation fold must be invisible to scrapes.
+// backwards — a reload must be invisible to scrapes. The traffic and
+// reload goroutines are stopped and joined before the test returns, even
+// when an assertion fails, so none outlives the server.
 func TestMetricsScrapeHammer(t *testing.T) {
 	s, _ := newTestServer(t, Options{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -147,6 +195,11 @@ func TestMetricsScrapeHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if _, err := s.Reload(""); err != nil {
 				t.Errorf("reload: %v", err)
 				return
@@ -170,8 +223,6 @@ func TestMetricsScrapeHammer(t *testing.T) {
 		}
 		lastRows, lastReqs = rows, reqs
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestRequestIDEchoedAndPropagated pins the edge half of the tracing

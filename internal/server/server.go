@@ -97,15 +97,6 @@ type Options struct {
 	// MaxBodyBytes caps the request body size (default 32 MiB). Larger
 	// bodies are rejected with 413.
 	MaxBodyBytes int64
-	// BinaryPrecision selects the inference path for binary-framed
-	// scoring requests (Content-Type application/x-malevade-rows-f32):
-	// serve.PrecisionFloat32 (the default — vector kernels, drift bounded
-	// by internal/nn's parity tests), serve.PrecisionInt8 (explicit
-	// opt-in), or serve.PrecisionFloat64 to route binary frames through
-	// the reference engine. JSON requests always score in float64.
-	// Defended models and models whose weights fail plan compilation fall
-	// back to float64 regardless.
-	BinaryPrecision string
 	// Campaigns tunes the attack-campaign orchestrator behind
 	// /v1/campaigns (workers, queue depth, sample caps). LocalTarget,
 	// CraftModel and RemoteTarget are filled by the server when unset:
@@ -182,9 +173,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 32 << 20
 	}
-	if o.BinaryPrecision == "" {
-		o.BinaryPrecision = serve.PrecisionFloat32
-	}
 	return o
 }
 
@@ -256,10 +244,11 @@ type Server struct {
 	reloads       *obs.Counter    // successful hot-reloads
 	precisionRows *obs.CounterVec // rows scored, by kernel precision
 
-	// retiredBatches/retiredRows accumulate the engine counters of closed
-	// generations so /v1/stats is cumulative across reloads.
-	retiredBatches atomic.Int64
-	retiredRows    atomic.Int64
+	// batches/rows are the engine counters every scorer the daemon builds
+	// advances (serve.Counters), so they are cumulative across reloads and
+	// cover registry models.
+	batches *obs.Counter
+	rows    *obs.Counter
 }
 
 // New loads the model at opts.ModelPath and returns a ready-to-serve daemon.
@@ -267,9 +256,6 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if opts.ModelPath == "" {
 		return nil, fmt.Errorf("server: Options.ModelPath is required")
-	}
-	if !serve.ValidPrecision(opts.BinaryPrecision) {
-		return nil, fmt.Errorf("server: unknown binary precision %q", opts.BinaryPrecision)
 	}
 	if len(opts.Defenses) > 0 {
 		if err := opts.Defenses.ValidateServable(); err != nil {
@@ -294,9 +280,10 @@ func New(opts Options) (*Server, error) {
 	s.precisionRows = s.obs.CounterVec("malevade_serve_precision_rows_total",
 		"Rows scored, by the kernel precision that actually ran them.",
 		"precision")
+	s.batches, s.rows = serve.Counters(s.obs)
 	// Thread the registry into every engine the daemon builds: the slot
-	// scorer and all registry-loaded scorers share one batch-rows
-	// histogram, and the store/campaign/harden layers register their own
+	// scorer and all registry-loaded scorers share the engine counters
+	// and one batch-rows histogram, and the store/campaign/harden layers register their own
 	// instruments against the same exposition.
 	opts.Scorer.Obs = s.obs
 	s.opts.Scorer.Obs = s.obs
@@ -419,7 +406,7 @@ func New(opts Options) (*Server, error) {
 			s.registry.Close()
 			old := s.slot.Swap(nil)
 			if old != nil {
-				s.retire(old)
+				old.Retire()
 			}
 			return nil, fmt.Errorf("server: %w", err)
 		}
@@ -464,7 +451,6 @@ func New(opts Options) (*Server, error) {
 	s.log.Info("daemon ready",
 		"model_path", opts.ModelPath,
 		"generation", s.ModelVersion(),
-		"precision", opts.BinaryPrecision,
 		"registry", opts.RegistryDir != "",
 		"record_traffic", opts.RecordTraffic,
 	)
@@ -472,7 +458,7 @@ func New(opts Options) (*Server, error) {
 }
 
 // registerFuncMetrics exposes values other layers already maintain —
-// engine counters, registry state, store sizes, job-queue totals — as
+// engine load, registry state, store sizes, job-queue totals — as
 // callback metrics so scrapes read the exact sources /v1/stats renders.
 func (s *Server) registerFuncMetrics() {
 	s.obs.GaugeFunc("malevade_uptime_seconds",
@@ -481,12 +467,6 @@ func (s *Server) registerFuncMetrics() {
 	s.obs.GaugeFunc("malevade_model_generation",
 		"Monotonic generation of the model live on the default slot.",
 		func() float64 { return float64(s.ModelVersion()) })
-	s.obs.CounterFunc("malevade_serve_batches_total",
-		"Forward passes executed, cumulative across hot reloads.",
-		func() float64 { b, _ := s.engineTotals(); return float64(b) })
-	s.obs.CounterFunc("malevade_serve_rows_total",
-		"Rows scored by the engine, cumulative across hot reloads.",
-		func() float64 { _, r := s.engineTotals(); return float64(r) })
 	s.obs.GaugeFunc("malevade_serve_queue_depth",
 		"Scoring requests buffered across every live engine's queue.",
 		func() float64 { q, _ := s.engineLoad(); return float64(q) })
@@ -541,22 +521,6 @@ func (s *Server) registerFuncMetrics() {
 	}
 }
 
-// engineTotals sums batch/row counters across retired generations and
-// the live slot. The live engine is pinned before retired counters are
-// read so a concurrent reload cannot fold the pinned engine's counters
-// mid-sum — successive scrapes stay monotone.
-func (s *Server) engineTotals() (batches, rows int64) {
-	m := s.acquire()
-	batches, rows = s.retiredBatches.Load(), s.retiredRows.Load()
-	if m != nil {
-		b, r := m.Scorer.Stats()
-		batches += b
-		rows += r
-		s.release(m)
-	}
-	return batches, rows
-}
-
 // engineLoad sums queue depth and in-flight counts over the default
 // slot and every live registry engine.
 func (s *Server) engineLoad() (queue, inflight int64) {
@@ -603,14 +567,6 @@ func (s *Server) acquire() *model { return s.slot.Acquire() }
 
 func (s *Server) release(m *model) { m.Release() }
 
-// retire drains a swapped-out generation and folds its engine counters
-// into the cumulative stats.
-func (s *Server) retire(m *model) {
-	b, r := m.Retire()
-	s.retiredBatches.Add(b)
-	s.retiredRows.Add(r)
-}
-
 // Reload hot-swaps the model. An empty path reloads from the configured
 // ModelPath; a non-empty path becomes the new configured path on success.
 // In-flight requests finish on the generation they started on.
@@ -642,7 +598,7 @@ func (s *Server) reload(path string) (*model, error) {
 	s.reloads.Inc()
 	s.log.Info("model reloaded",
 		"path", m.Path, "generation", m.Generation)
-	s.retire(old)
+	old.Retire()
 	return m, nil
 }
 
@@ -683,7 +639,7 @@ func (s *Server) Close() {
 	defer s.reloadMu.Unlock()
 	old := s.slot.Swap(nil)
 	if old != nil {
-		s.retire(old)
+		old.Retire()
 		s.log.Info("daemon shut down",
 			"uptime_seconds", time.Since(s.started).Seconds())
 	}
@@ -773,8 +729,9 @@ type StatsResponse struct {
 	Requests int64 `json:"requests"`
 	Rejected int64 `json:"rejected"`
 	Reloads  int64 `json:"reloads"`
-	// Batches/Rows are the default-model engine's merged-batch counters;
-	// Rows/Batches is the mean coalescing factor.
+	// Batches/Rows count forward passes and the rows they scored across
+	// every engine — the default slot's and every registry model's, over
+	// all reloads; Rows/Batches is the mean batch size.
 	Batches int64 `json:"batches"`
 	Rows    int64 `json:"rows"`
 	// Campaigns counts campaign submissions accepted by /v1/campaigns.
@@ -814,134 +771,197 @@ func writeErrorCode(w http.ResponseWriter, status int, code, format string, args
 	wire.WriteErrorCode(w, status, code, format, args...)
 }
 
-func (s *Server) reject(w http.ResponseWriter, status int, format string, args ...any) {
+// refusal builds the error a scoring request is refused with, its
+// taxonomy code derived from the status.
+func refusal(status int, format string, args ...any) *wire.Error {
+	return &wire.Error{Status: status, Code: wire.CodeForStatus(status), Msg: fmt.Sprintf(format, args...)}
+}
+
+// reject counts and writes one refused scoring request.
+func (s *Server) reject(w http.ResponseWriter, e *wire.Error) {
 	s.rejected.Inc()
-	writeError(w, status, format, args...)
+	writeJSON(w, e.Status, e.Envelope())
 }
 
 // readBody reads a scoring request body under the configured byte cap.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	raw, err := io.ReadAll(body)
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *wire.Error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.opts.MaxBodyBytes)
+			return nil, refusal(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.opts.MaxBodyBytes)
 		}
-		return nil, http.StatusBadRequest, fmt.Errorf("read body: %v", err)
+		return nil, refusal(http.StatusBadRequest, "read body: %v", err)
 	}
-	return raw, 0, nil
+	return raw, nil
 }
 
 // decodeScoreRequest is the strict scoring-body decoder. Every failure
 // mode — malformed JSON, unknown fields, trailing data — is a client
 // error; row validation happens in rowsMatrix once the addressed model
 // (and therefore the expected width) is known.
-func decodeScoreRequest(raw []byte) (ScoreRequest, int, error) {
+func decodeScoreRequest(raw []byte) (ScoreRequest, *wire.Error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var req ScoreRequest
 	if err := dec.Decode(&req); err != nil {
-		return ScoreRequest{}, http.StatusBadRequest, fmt.Errorf("invalid JSON: %v", err)
+		return ScoreRequest{}, refusal(http.StatusBadRequest, "invalid JSON: %v", err)
 	}
 	if dec.More() {
-		return ScoreRequest{}, http.StatusBadRequest, fmt.Errorf("trailing data after JSON body")
+		return ScoreRequest{}, refusal(http.StatusBadRequest, "trailing data after JSON body")
 	}
-	return req, 0, nil
+	return req, nil
 }
 
 // rowsMatrix validates a decoded batch against the addressed model's
 // input width and packs it into a matrix; the validator never panics on
 // hostile input.
-func (s *Server) rowsMatrix(rows [][]float64, inDim int) (*tensor.Matrix, int, error) {
+func (s *Server) rowsMatrix(rows [][]float64, inDim int) (*tensor.Matrix, *wire.Error) {
 	if len(rows) == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("rows must be a non-empty array")
+		return nil, refusal(http.StatusBadRequest, "rows must be a non-empty array")
 	}
 	if len(rows) > s.opts.MaxRows {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("batch of %d rows exceeds limit %d", len(rows), s.opts.MaxRows)
+		return nil, refusal(http.StatusBadRequest, "batch of %d rows exceeds limit %d", len(rows), s.opts.MaxRows)
 	}
 	x := tensor.New(len(rows), inDim)
 	for i, row := range rows {
 		if len(row) != inDim {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("row %d has %d features, want %d", i, len(row), inDim)
+			return nil, refusal(http.StatusBadRequest, "row %d has %d features, want %d", i, len(row), inDim)
 		}
 		for j, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, http.StatusBadRequest,
-					fmt.Errorf("row %d feature %d is not finite", i, j)
+				return nil, refusal(http.StatusBadRequest, "row %d feature %d is not finite", i, j)
 			}
 		}
 		copy(x.Row(i), row)
 	}
-	return x, 0, nil
+	return x, nil
 }
 
-// registryAcquire pins a named registry model's live instance, mapping
-// registry errors onto the wire taxonomy: unknown names are 404
+// batch is one decoded scoring request: the pinned generation that scores
+// it, and its rows — x from a JSON body or x32 from a binary frame.
+type batch struct {
+	m   *model
+	x   *tensor.Matrix
+	x32 *tensor.Matrix32
+}
+
+// row returns a float64 copy of row i.
+func (b batch) row(i int) []float64 {
+	if b.x32 == nil {
+		return append([]float64(nil), b.x.Row(i)...)
+	}
+	out := make([]float64, b.x32.Cols)
+	for j, v := range b.x32.Row(i) {
+		out[j] = float64(v)
+	}
+	return out
+}
+
+// route repoints b at the live instance of the named registry model,
+// pinned until the caller releases it; an empty name keeps the default
+// slot. Registry errors map onto the wire taxonomy: unknown names are 404
 // unknown_model, a model with no live version is 409 version_conflict,
 // and a daemon without a registry refuses model addressing outright.
-func (s *Server) registryAcquire(name string) (*model, int, string, error) {
+func (s *Server) route(b *batch, name string) *wire.Error {
+	if name == "" {
+		return nil
+	}
 	if s.registry == nil {
-		return nil, http.StatusUnprocessableEntity, wire.CodeInvalidSpec,
-			fmt.Errorf("daemon has no model registry (start with -registry)")
+		return &wire.Error{Status: http.StatusUnprocessableEntity, Code: wire.CodeInvalidSpec,
+			Msg: "daemon has no model registry (start with -registry)"}
 	}
 	inst, err := s.registry.Acquire(name)
 	switch {
 	case err == nil:
-		return inst, 0, "", nil
+		b.m = inst
+		return nil
 	case errors.Is(err, registry.ErrUnknownModel):
-		return nil, http.StatusNotFound, wire.CodeUnknownModel, err
+		return &wire.Error{Status: http.StatusNotFound, Code: wire.CodeUnknownModel, Msg: err.Error()}
 	case errors.Is(err, registry.ErrVersionConflict):
-		return nil, http.StatusConflict, wire.CodeVersionConflict, err
+		return &wire.Error{Status: http.StatusConflict, Code: wire.CodeVersionConflict, Msg: err.Error()}
 	default:
-		return nil, http.StatusServiceUnavailable, wire.CodeUnavailable, err
+		return &wire.Error{Status: http.StatusServiceUnavailable, Code: wire.CodeUnavailable, Msg: err.Error()}
 	}
 }
 
-// score runs the shared request path of /v1/score and /v1/label: pin one
-// model generation — the default slot, or the registry model the body's
-// "model" field names — decode against its input width, and hand the
-// pinned generation plus the decoded batch to render. Every verdict of
-// one request is computed wholly by that generation — off the engine's
-// raw logits for a bare model, through the defense chain for a defended
-// one.
+// decodeJSON decodes a JSON scoring body into b. Canonical single-model
+// bodies take the reflection-free fast parser (fastrows.go); anything it
+// declines — including every model-addressed body — falls back to the
+// strict encoding/json path, which owns every error message, so hostile
+// inputs see exactly the behavior they always did.
+func (s *Server) decodeJSON(b *batch, raw []byte) *wire.Error {
+	if x, ok := fastParseRows(raw, b.m.Scorer.InDim(), s.opts.MaxRows); ok {
+		b.x = x
+		return nil
+	}
+	req, err := decodeScoreRequest(raw)
+	if err != nil {
+		return err
+	}
+	if err := s.route(b, req.Model); err != nil {
+		return err
+	}
+	b.x, err = s.rowsMatrix(req.Rows, b.m.Scorer.InDim())
+	return err
+}
+
+// decodeFrame decodes a binary rows frame into b: its model field routes
+// exactly like the JSON "model" field, and shape and finiteness are
+// validated under the same limits.
+func (s *Server) decodeFrame(b *batch, raw []byte) *wire.Error {
+	f, err := wire.ParseFrame(raw)
+	if err != nil {
+		return refusal(http.StatusBadRequest, "%v", err)
+	}
+	if err := s.route(b, f.Model); err != nil {
+		return err
+	}
+	if f.Rows > s.opts.MaxRows {
+		return refusal(http.StatusBadRequest, "batch of %d rows exceeds limit %d", f.Rows, s.opts.MaxRows)
+	}
+	if inDim := b.m.Scorer.InDim(); f.Cols != inDim {
+		return refusal(http.StatusBadRequest, "frame rows have %d features, want %d", f.Cols, inDim)
+	}
+	x32 := tensor.FromSlice32(f.Rows, f.Cols, f.Values())
+	for i, v := range x32.Data {
+		if f64 := float64(v); math.IsNaN(f64) || math.IsInf(f64, 0) {
+			return refusal(http.StatusBadRequest, "row %d feature %d is not finite", i/f.Cols, i%f.Cols)
+		}
+	}
+	b.x32 = x32
+	return nil
+}
+
+// score runs the one request path of /v1/score and /v1/label: pin the
+// default generation, decode the body into a batch (rerouted to the
+// registry model its "model" field or frame header names), compute the
+// batch's verdicts, sample rows into the traffic log, and write the
+// response encode builds. Every verdict of one request is computed wholly
+// by one generation.
 //
-// Canonical single-model bodies take the reflection-free fast parser
-// (fastrows.go); anything it declines — including every model-addressed
-// body — falls back to the strict encoding/json path, which owns every
-// error message, so hostile inputs see exactly the behavior they always
-// did.
-//
-// The request's Content-Type picks the representation: absent or JSON
-// takes the paths above; the binary rows frame (wire.ContentTypeRowsF32)
-// takes scoreFrame and the reduced-precision engine; anything else is a
-// 415 unsupported_media_type. render32 renders one reduced-precision
-// batch and is only ever called with a precision whose plan compiled.
-func (s *Server) score(w http.ResponseWriter, r *http.Request,
-	render func(m *model, x *tensor.Matrix),
-	render32 func(m *model, x *tensor.Matrix32, precision string)) {
+// The request's Content-Type picks the decoder: absent or JSON takes
+// decodeJSON, the binary rows frame (wire.ContentTypeRowsF32) takes
+// decodeFrame, and anything else is a 415 unsupported_media_type.
+func (s *Server) score(w http.ResponseWriter, r *http.Request, endpoint string,
+	encode func(gen int64, probs []float64, classes []int) any) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.reject(w, http.StatusMethodNotAllowed, "use POST")
+		s.reject(w, refusal(http.StatusMethodNotAllowed, "use POST"))
 		return
 	}
 	binary := false
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil {
-			s.reject(w, http.StatusUnsupportedMediaType, "unparseable Content-Type %q", ct)
+		switch {
+		case err != nil:
+			s.reject(w, refusal(http.StatusUnsupportedMediaType, "unparseable Content-Type %q", ct))
 			return
-		}
-		switch mt {
-		case wire.ContentTypeJSON:
-		case wire.ContentTypeRowsF32:
+		case mt == wire.ContentTypeRowsF32:
 			binary = true
-		default:
-			s.reject(w, http.StatusUnsupportedMediaType,
-				"unsupported Content-Type %q (use %s or %s)", mt, wire.ContentTypeJSON, wire.ContentTypeRowsF32)
+		case mt != wire.ContentTypeJSON:
+			s.reject(w, refusal(http.StatusUnsupportedMediaType,
+				"unsupported Content-Type %q (use %s or %s)", mt, wire.ContentTypeJSON, wire.ContentTypeRowsF32))
 			return
 		}
 	}
@@ -951,192 +971,82 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	defer s.release(m)
-	raw, status, err := s.readBody(w, r)
-	if err != nil {
-		s.reject(w, status, "%v", err)
+	raw, rerr := s.readBody(w, r)
+	if rerr != nil {
+		s.reject(w, rerr)
 		return
 	}
+	b := batch{m: m}
 	if binary {
-		s.scoreFrame(w, m, raw, render, render32)
-		return
+		rerr = s.decodeFrame(&b, raw)
+	} else {
+		rerr = s.decodeJSON(&b, raw)
 	}
-	if x, ok := fastParseRows(raw, m.Scorer.InDim(), s.opts.MaxRows); ok {
-		s.requests.Inc()
-		s.precisionRows.With(serve.PrecisionFloat64).Add(int64(x.Rows))
-		m.CountRequest()
-		render(m, x)
-		return
+	if b.m != m { // a model-addressed request pinned a registry instance too
+		defer b.m.Release()
 	}
-	req, status, err := decodeScoreRequest(raw)
-	if err != nil {
-		s.reject(w, status, "%v", err)
-		return
-	}
-	target := m
-	if req.Model != "" {
-		named, status, code, err := s.registryAcquire(req.Model)
-		if err != nil {
-			s.rejected.Inc()
-			writeErrorCode(w, status, code, "%v", err)
-			return
-		}
-		defer named.Release()
-		target = named
-	}
-	x, status, err := s.rowsMatrix(req.Rows, target.Scorer.InDim())
-	if err != nil {
-		s.reject(w, status, "%v", err)
+	if rerr != nil {
+		s.reject(w, rerr)
 		return
 	}
 	s.requests.Inc()
+	b.m.CountRequest()
+	probs, classes, err := s.verdicts(b, endpoint == "score")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.recordRows(endpoint, b, probs, classes)
+	writeJSON(w, http.StatusOK, encode(b.m.Generation, probs, classes))
+}
+
+// verdicts is the one place a scoring request reaches inference. It
+// returns each row's argmax class and, when withProbs, its malware
+// probability (nil otherwise):
+//   - a frame on a bare model scores on the float32 plan;
+//   - a frame on a defended model, or on one whose plan fails to compile,
+//     widens to float64 — callers opted into a wire format, not into
+//     wrong answers;
+//   - a defended model answers through its chain (a squeezing flag
+//     saturates the probability to 1), from one combined pass when the
+//     chain has one and through Predict alone when only classes are
+//     wanted;
+//   - a bare model scores off the pooled float64 engine's logits.
+func (s *Server) verdicts(b batch, withProbs bool) (probs []float64, classes []int, err error) {
+	m, x := b.m, b.x
+	if b.x32 != nil {
+		if m.Det == nil && m.Scorer.EnsurePlan(serve.PrecisionFloat32) == nil {
+			s.precisionRows.With(serve.PrecisionFloat32).Add(int64(b.x32.Rows))
+			probs, classes, err = m.Scorer.Verdicts32(b.x32, serve.PrecisionFloat32)
+			if !withProbs {
+				probs = nil
+			}
+			return probs, classes, err
+		}
+		x = b.x32.Float64()
+	}
 	s.precisionRows.With(serve.PrecisionFloat64).Add(int64(x.Rows))
-	target.CountRequest()
-	render(target, x)
-}
-
-// scoreFrame is the binary half of the scoring path: parse the rows
-// frame, resolve its model field exactly like the JSON "model" field,
-// validate shape and finiteness under the same limits, then score through
-// the reduced-precision plan. A defended model, a float64
-// BinaryPrecision, or a model whose weights refuse plan compilation falls
-// back to the float64 reference path — callers opted into a wire format,
-// not into wrong answers.
-func (s *Server) scoreFrame(w http.ResponseWriter, m *model, raw []byte,
-	render func(m *model, x *tensor.Matrix),
-	render32 func(m *model, x *tensor.Matrix32, precision string)) {
-	f, err := wire.ParseFrame(raw)
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	target := m
-	if f.Model != "" {
-		named, status, code, err := s.registryAcquire(f.Model)
-		if err != nil {
-			s.rejected.Inc()
-			writeErrorCode(w, status, code, "%v", err)
-			return
+	switch {
+	case m.Det != nil && withProbs:
+		probs, classes = detectorVerdicts(m.Det, x)
+	case m.Det != nil:
+		classes = m.Det.Predict(x)
+	default:
+		logits := m.Scorer.Logits(x)
+		classes = make([]int, logits.Rows)
+		for i := range classes {
+			classes[i] = logits.RowArgmax(i)
 		}
-		defer named.Release()
-		target = named
-	}
-	if f.Rows > s.opts.MaxRows {
-		s.reject(w, http.StatusBadRequest, "batch of %d rows exceeds limit %d", f.Rows, s.opts.MaxRows)
-		return
-	}
-	if inDim := target.Scorer.InDim(); f.Cols != inDim {
-		s.reject(w, http.StatusBadRequest, "frame rows have %d features, want %d", f.Cols, inDim)
-		return
-	}
-	x32 := tensor.FromSlice32(f.Rows, f.Cols, f.Values())
-	for i, v := range x32.Data {
-		f64 := float64(v)
-		if math.IsNaN(f64) || math.IsInf(f64, 0) {
-			s.reject(w, http.StatusBadRequest, "row %d feature %d is not finite", i/f.Cols, i%f.Cols)
-			return
-		}
-	}
-	s.requests.Inc()
-	target.CountRequest()
-	precision := s.opts.BinaryPrecision
-	if target.Det != nil || precision == serve.PrecisionFloat64 ||
-		target.Scorer.EnsurePlan(precision) != nil {
-		s.precisionRows.With(serve.PrecisionFloat64).Add(int64(f.Rows))
-		render(target, x32.Float64())
-		return
-	}
-	s.precisionRows.With(precision).Add(int64(f.Rows))
-	render32(target, x32, precision)
-}
-
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	s.score(w, r, func(m *model, x *tensor.Matrix) {
-		resp := ScoreResponse{
-			ModelVersion: m.Generation,
-			Results:      make([]ScoreResult, x.Rows),
-		}
-		if m.Det != nil {
-			// Defended model: the chain's verdicts (a squeezing flag
-			// saturates Prob to 1) replace the raw softmax head. Chains
-			// exposing the combined Verdicts pass (feature squeezing
-			// does) answer probability and class from one inference.
-			ps, classes := detectorVerdicts(m.Det, x)
-			for i := range resp.Results {
-				resp.Results[i] = ScoreResult{Prob: ps[i], Class: classes[i]}
-			}
-		} else {
-			logits := m.Scorer.Logits(x)
-			probs := make([]float64, logits.Cols)
-			for i := range resp.Results {
-				nn.SoftmaxRow(logits.Row(i), probs, s.opts.Temperature)
-				resp.Results[i] = ScoreResult{
-					Prob:  probs[dataset.LabelMalware],
-					Class: logits.RowArgmax(i),
-				}
+		if withProbs {
+			probs = make([]float64, logits.Rows)
+			sm := make([]float64, logits.Cols)
+			for i := range probs {
+				nn.SoftmaxRow(logits.Row(i), sm, s.opts.Temperature)
+				probs[i] = sm[dataset.LabelMalware]
 			}
 		}
-		s.recordRows("score", m, x.Row, x.Rows, func(i int) (float64, bool, int) {
-			return resp.Results[i].Prob, true, resp.Results[i].Class
-		})
-		writeJSON(w, http.StatusOK, resp)
-	}, func(m *model, x *tensor.Matrix32, precision string) {
-		ps, classes, err := m.Scorer.Verdicts32(x, precision)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp := ScoreResponse{
-			ModelVersion: m.Generation,
-			Results:      make([]ScoreResult, x.Rows),
-		}
-		for i := range resp.Results {
-			resp.Results[i] = ScoreResult{Prob: ps[i], Class: classes[i]}
-		}
-		s.recordRows("score", m, row32(x), x.Rows, func(i int) (float64, bool, int) {
-			return ps[i], true, classes[i]
-		})
-		writeJSON(w, http.StatusOK, resp)
-	})
-}
-
-// recordRows samples rows of one served scoring batch into the results
-// store's traffic log (Options.RecordTraffic is the 1-in-N rate; 0
-// disables). Recording failures are swallowed: a full disk must never fail
-// a scoring request.
-func (s *Server) recordRows(endpoint string, m *model, rowAt func(int) []float64, n int, verdict func(int) (prob float64, hasProb bool, class int)) {
-	if s.store == nil || s.opts.RecordTraffic <= 0 {
-		return
 	}
-	every := int64(s.opts.RecordTraffic)
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		if s.recordSeq.Add(1)%every != 0 {
-			continue
-		}
-		prob, hasProb, class := verdict(i)
-		_ = s.store.RecordTraffic(store.TrafficRow{
-			Time:       now,
-			Endpoint:   endpoint,
-			Model:      m.Name,
-			Generation: m.Generation,
-			Prob:       prob,
-			HasProb:    hasProb,
-			Class:      class,
-			Row:        append([]float64(nil), rowAt(i)...),
-		})
-	}
-}
-
-// row32 adapts a float32 batch's rows to the float64 row accessor
-// recordRows wants — conversion happens only for the sampled rows.
-func row32(x *tensor.Matrix32) func(int) []float64 {
-	return func(i int) []float64 {
-		out := make([]float64, x.Cols)
-		for j := 0; j < x.Cols; j++ {
-			out[j] = float64(x.Data[i*x.Cols+j])
-		}
-		return out
-	}
+	return probs, classes, nil
 }
 
 // detectorVerdicts fetches probabilities and classes for one batch,
@@ -1150,34 +1060,49 @@ func detectorVerdicts(det detector.Detector, x *tensor.Matrix) ([]float64, []int
 	return det.MalwareProb(x), det.Predict(x)
 }
 
+// recordRows samples rows of one served scoring batch into the results
+// store's traffic log (Options.RecordTraffic is the 1-in-N rate; 0
+// disables). Label rows carry only the hard class (probs is nil): the
+// oracle endpoint never computed a probability. Recording failures are
+// swallowed: a full disk must never fail a scoring request.
+func (s *Server) recordRows(endpoint string, b batch, probs []float64, classes []int) {
+	if s.store == nil || s.opts.RecordTraffic <= 0 {
+		return
+	}
+	every := int64(s.opts.RecordTraffic)
+	now := time.Now()
+	for i, class := range classes {
+		if s.recordSeq.Add(1)%every != 0 {
+			continue
+		}
+		row := store.TrafficRow{
+			Time:       now,
+			Endpoint:   endpoint,
+			Model:      b.m.Name,
+			Generation: b.m.Generation,
+			Class:      class,
+			Row:        b.row(i),
+		}
+		if probs != nil {
+			row.Prob, row.HasProb = probs[i], true
+		}
+		_ = s.store.RecordTraffic(row)
+	}
+}
+
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+	s.score(w, r, "score", func(gen int64, probs []float64, classes []int) any {
+		resp := ScoreResponse{ModelVersion: gen, Results: make([]ScoreResult, len(classes))}
+		for i, class := range classes {
+			resp.Results[i] = ScoreResult{Prob: probs[i], Class: class}
+		}
+		return resp
+	})
+}
+
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
-	s.score(w, r, func(m *model, x *tensor.Matrix) {
-		resp := LabelResponse{ModelVersion: m.Generation}
-		if m.Det != nil {
-			resp.Labels = m.Det.Predict(x)
-		} else {
-			logits := m.Scorer.Logits(x)
-			resp.Labels = make([]int, logits.Rows)
-			for i := range resp.Labels {
-				resp.Labels[i] = logits.RowArgmax(i)
-			}
-		}
-		s.recordRows("label", m, x.Row, x.Rows, func(i int) (float64, bool, int) {
-			// Label rows carry only the hard class: the oracle endpoint
-			// never computed a probability.
-			return 0, false, resp.Labels[i]
-		})
-		writeJSON(w, http.StatusOK, resp)
-	}, func(m *model, x *tensor.Matrix32, precision string) {
-		_, classes, err := m.Scorer.Verdicts32(x, precision)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.recordRows("label", m, row32(x), x.Rows, func(i int) (float64, bool, int) {
-			return 0, false, classes[i]
-		})
-		writeJSON(w, http.StatusOK, LabelResponse{ModelVersion: m.Generation, Labels: classes})
+	s.score(w, r, "label", func(gen int64, _ []float64, classes []int) any {
+		return LabelResponse{ModelVersion: gen, Labels: classes}
 	})
 }
 
@@ -1235,14 +1160,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	batches, rows := s.engineTotals()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Requests:      s.requests.Value(),
 		Rejected:      s.rejected.Value(),
 		Reloads:       s.reloads.Value(),
-		Batches:       batches,
-		Rows:          rows,
+		Batches:       s.batches.Value(),
+		Rows:          s.rows.Value(),
 		Campaigns:     s.campaigns.Submitted(),
 	}
 	if s.harden != nil {
