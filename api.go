@@ -87,13 +87,13 @@ type (
 	// daemon's metrics in a larger process's exposition; nil makes each
 	// tier create its own. See docs/OBSERVABILITY.md.
 	MetricsRegistry = obs.Registry
-	// Scorer is the concurrent batched scoring engine: a worker pool
-	// that coalesces concurrent callers' rows into shared batched
-	// forward passes. It implements Detector and is safe for any number
-	// of concurrent callers.
+	// Scorer is the scoring engine: each call scores its whole batch on
+	// the caller's goroutine, with at most Workers forward passes running
+	// at once. It implements Detector and is safe for any number of
+	// concurrent callers.
 	Scorer = serve.Scorer
-	// ScorerOptions tunes a Scorer's worker count, batch cap and queue
-	// depth; the zero value picks defaults.
+	// ScorerOptions tunes a Scorer's concurrency bound (Workers) and
+	// metrics registry; the zero value picks defaults.
 	ScorerOptions = serve.Options
 	// Server is the HTTP scoring daemon: POST /v1/score and /v1/label,
 	// GET /healthz and /v1/stats, atomic model hot-reload via POST
@@ -441,7 +441,7 @@ func NewClient(baseURL string) *Client { return client.New(baseURL) }
 // pca) and clean calibration rows for threshold calibration; it may be
 // nil for chains that need neither (squeezing with an explicit
 // threshold). The result is a Detector servable through NewScorer's
-// batched engine when it is a plain DNN, or directly; the HTTP daemon
+// engine when it is a plain DNN, or directly; the HTTP daemon
 // applies data-free chains itself via ServerOptions.Defenses.
 func ApplyDefenses(base *DNN, corpus *Corpus, chain DefenseChain) (Detector, error) {
 	env := defense.Env{Base: base}
@@ -497,11 +497,11 @@ func TrainSubstitute(train *Dataset, epochs int, seed uint64) (*DNN, error) {
 	})
 }
 
-// NewScorer starts a concurrent batched scoring engine over d's network,
+// NewScorer builds a slot-bounded scoring engine over d's network,
 // preserving d's softmax temperature. Scoring through the engine is
-// bit-identical to scoring through d directly; callers must Close the
-// scorer to release its workers, and must not train d's network while the
-// scorer is live.
+// bit-identical to scoring through d directly; it starts no goroutine,
+// Close marks it unusable, and callers must not train d's network while
+// the scorer is live.
 func NewScorer(d *DNN, opts ScorerOptions) *Scorer {
 	return serve.New(d.Net, d.Temperature, opts)
 }

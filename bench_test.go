@@ -136,15 +136,15 @@ func BenchmarkSerialScore(b *testing.B) {
 	b.ReportMetric(float64(b.N*mal.X.Rows)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkParallelScore drives the same workload through the concurrent
-// batched engine at GOMAXPROCS=4 with 4 client goroutines whose requests
-// coalesce inside the worker pool. The workload is compute-bound (the
-// matmul runs near peak even one row at a time), so the ≥2× rows/s target
-// over BenchmarkSerialScore comes from true parallelism: with GOMAXPROCS=4
-// backed by ≥4 physical cores the four workers score disjoint chunks
-// simultaneously (~4× scaling; no shared mutable state). On a single
-// physical core the two benchmarks tie — that equality is itself the
-// zero-overhead check for the engine's queueing and coalescing.
+// BenchmarkParallelScore drives the same workload through the scoring
+// engine at GOMAXPROCS=4 with 4 client goroutines, each scoring its chunk
+// on its own goroutine in one of the engine's 4 slots. The workload is
+// compute-bound (the matmul runs near peak even one row at a time), so the
+// ≥2× rows/s target over BenchmarkSerialScore comes from true parallelism:
+// with GOMAXPROCS=4 backed by ≥4 physical cores the four callers score
+// disjoint chunks simultaneously (~4× scaling; no shared mutable state).
+// On a single physical core the two benchmarks tie — that equality is
+// itself the zero-overhead check for the engine's slot bound.
 func BenchmarkParallelScore(b *testing.B) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

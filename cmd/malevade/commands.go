@@ -181,15 +181,15 @@ func cmdAttack(args []string) error {
 	return nil
 }
 
-// cmdScore drives the concurrent batched scoring engine over a saved model:
-// the dataset's rows are split among -clients goroutines whose requests
-// coalesce inside the engine — the serving shape of a production detector.
+// cmdScore drives the scoring engine over a saved model: the dataset's rows
+// are split among -clients goroutines, each scoring its share on its own
+// goroutine with at most -workers forward passes running at once — the
+// serving shape of a production detector.
 func cmdScore(args []string) error {
 	fs := flag.NewFlagSet("score", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.gob", "detector model (from 'malevade train')")
 	dataPath := fs.String("data", "data/test.gob", "dataset to score")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 256, "max rows per merged forward pass")
+	workers := fs.Int("workers", 0, "max concurrent forward passes (0 = GOMAXPROCS)")
 	clients := fs.Int("clients", 8, "concurrent client goroutines submitting rows")
 	precision := fs.String("precision", serve.PrecisionFloat64,
 		"inference precision: float64 (reference) or float32 (tiled hot path)")
@@ -210,7 +210,7 @@ func cmdScore(args []string) error {
 	if *clients <= 0 {
 		*clients = 1
 	}
-	sc := serve.New(net, 1, serve.Options{Workers: *workers, MaxBatch: *batch})
+	sc := serve.New(net, 1, serve.Options{Workers: *workers})
 	defer sc.Close()
 	if *precision != serve.PrecisionFloat64 {
 		if err := sc.EnsurePlan(*precision); err != nil {

@@ -85,7 +85,7 @@ commands:
   dataset   synthesize and save a corpus
   train     train a target or substitute model
   attack    run the JSMA attack against a saved model
-  score     score a dataset through the concurrent batched engine
+  score     score a dataset through the slot-bounded scoring engine
   serve     run the HTTP scoring daemon (hot-reload via SIGHUP or /v1/reload)
   gateway   front a fleet of serve replicas: probing, failover, fan-out
   campaign  submit/watch/list/cancel evasion campaigns on a daemon

@@ -19,8 +19,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8446", "listen address")
 	modelPath := fs.String("model", "model.gob", "detector model (from 'malevade train')")
 	temp := fs.Float64("temp", 1, "softmax temperature for the probability head")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 256, "max rows per merged forward pass")
+	workers := fs.Int("workers", 0, "max concurrent forward passes per model (0 = GOMAXPROCS)")
 	maxRows := fs.Int("max-rows", 4096, "max rows per scoring request")
 	maxBytes := fs.Int64("max-bytes", 32<<20, "max request body bytes")
 	timeouts := httpTimeoutFlags(fs)
@@ -50,7 +49,7 @@ func cmdServe(args []string) error {
 	srv, err := server.New(server.Options{
 		ModelPath:     *modelPath,
 		Temperature:   *temp,
-		Scorer:        serve.Options{Workers: *workers, MaxBatch: *batch},
+		Scorer:        serve.Options{Workers: *workers},
 		MaxRows:       *maxRows,
 		MaxBodyBytes:  *maxBytes,
 		Defenses:      defenses,

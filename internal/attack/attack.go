@@ -111,10 +111,10 @@ func (s Stats) String() string {
 }
 
 // BatchScorer scores a batch of feature rows to logits. Both *nn.Network
-// (serial pooled inference) and *serve.Scorer (the concurrent batched
+// (pooled-workspace inference) and *serve.Scorer (the slot-bounded
 // engine) satisfy it; every attack scores its evasion checks through one,
-// so multi-sample crafting coalesces with other callers when an engine is
-// plugged in. Implementations must return numbers identical to
+// so multi-sample crafting shares the engine's concurrency bound with
+// other callers when an engine is plugged in. Implementations must return numbers identical to
 // Model.Forward(x, false) — the attacks' step decisions depend on it.
 type BatchScorer interface {
 	Logits(x *tensor.Matrix) *tensor.Matrix

@@ -246,6 +246,9 @@ func (e *Engine) Submit(spec Spec) (Snapshot, error) {
 			j.sink = e.opts.Sink
 		}
 	}
+	// Snapshot before the enqueue: once a worker holds the job it may
+	// finish before Submit returns, and the caller must see it queued.
+	snap := j.snapshot(0, false)
 	// Cannot block: only Submit sends, only under e.mu, workers only
 	// drain, and capacity was checked above.
 	e.queue <- j
@@ -258,7 +261,7 @@ func (e *Engine) Submit(spec Spec) (Snapshot, error) {
 		slog.String("campaign", j.id),
 		slog.String("attack", spec.Attack.String()),
 		slog.String("model", spec.TargetModel))
-	return j.snapshot(0, false), nil
+	return snap, nil
 }
 
 // Get returns a snapshot with per-sample results from offset on, or false

@@ -97,8 +97,8 @@ func ProfileByName(name string) (Profile, error) {
 
 // Lab owns the corpora, trained models and scoring engines an experiment
 // run shares. All getters are lazy, memoized and safe for concurrent use
-// (two goroutines asking for the same model get one training run). Labs
-// that created scorers should be Closed to release the worker pools.
+// (two goroutines asking for the same model get one training run). Close
+// drops the scorers a lab created.
 type Lab struct {
 	Profile Profile
 	// Log receives training progress when non-nil.
@@ -154,8 +154,8 @@ func (l *Lab) SubstituteScorer() (*serve.Scorer, error) {
 	return l.subScorer, nil
 }
 
-// Close releases the worker pools of any scorers the lab created. The lab
-// stays usable afterwards; scorers are recreated on demand.
+// Close closes any scorers the lab created. The lab stays usable
+// afterwards; scorers are recreated on demand.
 func (l *Lab) Close() {
 	l.mu.Lock()
 	ts, ss := l.targetScorer, l.subScorer

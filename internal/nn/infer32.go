@@ -94,9 +94,6 @@ func (p *Plan32) InDim() int { return p.inDim }
 // OutDim returns the logits width.
 func (p *Plan32) OutDim() int { return p.outDim }
 
-// Precision returns PrecisionF32, the only precision a plan compiles to.
-func (p *Plan32) Precision() string { return PrecisionF32 }
-
 // Workspace32 holds one concurrent reader's scratch for plan execution:
 // per-step activation buffers. Single-caller, like nn.Workspace.
 type Workspace32 struct {

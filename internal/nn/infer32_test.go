@@ -79,8 +79,8 @@ func TestPlan32Float32Parity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Precision() != PrecisionF32 || plan.InDim() != 491 || plan.OutDim() != 2 {
-		t.Fatalf("plan metadata: %q %d %d", plan.Precision(), plan.InDim(), plan.OutDim())
+	if plan.InDim() != 491 || plan.OutDim() != 2 {
+		t.Fatalf("plan metadata: %d %d", plan.InDim(), plan.OutDim())
 	}
 	for _, temp := range []float64{1, 10} {
 		x := parityInput(99, 128, 491)

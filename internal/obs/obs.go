@@ -50,7 +50,7 @@ var (
 )
 
 // DefLatencyBuckets are the default request-latency histogram bounds,
-// spanning 100µs to 10s — wide enough for a coalesced binary-frame scoring
+// spanning 100µs to 10s — wide enough for a binary-frame scoring
 // call on one end and a campaign submission on the other.
 var DefLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,

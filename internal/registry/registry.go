@@ -65,7 +65,7 @@ type Options struct {
 	// Temperature is the softmax temperature instances serve with
 	// (0 means 1).
 	Temperature float64
-	// Scorer tunes each instance's batched scoring engine.
+	// Scorer tunes each instance's scoring engine.
 	Scorer serve.Options
 	// MaxModels caps the number of named models (default 64).
 	MaxModels int

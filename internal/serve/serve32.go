@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 
 	"malevade/internal/dataset"
@@ -42,31 +43,17 @@ func (s *Scorer) EnsurePlan(precision string) error {
 }
 
 // Logits32 scores a float32 batch through the compiled plan for the given
-// precision (PrecisionFloat32) and returns fresh float32 logits. Unlike
-// Logits it bypasses the worker pool: binary-framed requests arrive
-// pre-batched, so the coalescing queue would only add latency. The batch
-// is accounted exactly as a pooled forward pass (counters and batch-rows
-// histogram). Safe for concurrent callers; panics if the scorer is closed
-// or the input width is wrong.
+// precision (PrecisionFloat32) and returns fresh float32 logits. It takes
+// a slot and is accounted exactly like Logits. Safe for concurrent
+// callers; panics if the scorer is closed or the input width is wrong.
 func (s *Scorer) Logits32(x *tensor.Matrix32, precision string) (*tensor.Matrix32, error) {
-	if x.Cols != s.net.InDim() {
-		panic(fmt.Sprintf("serve: input width %d, want %d", x.Cols, s.net.InDim()))
-	}
 	p, err := s.plan(precision)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		panic("serve: Scorer used after Close")
-	}
-	s.mu.RUnlock()
-	out := p.Logits(x)
-	if x.Rows > 0 {
-		s.account(x.Rows)
-	}
-	return out, nil
+	var out *tensor.Matrix32
+	err = s.run(context.Background(), x.Rows, x.Cols, func() { out = p.Logits(x) })
+	return out, err
 }
 
 // Verdicts32 scores the batch through Logits32 and returns, per row, the

@@ -99,9 +99,9 @@ func TestLogits32PanicsAfterClose(t *testing.T) {
 	s.Logits32(tensor.New32(1, 4), PrecisionFloat32)
 }
 
-// TestVerdicts32ConcurrentDeterminism checks the direct reduced-precision
-// path stays bit-stable under concurrent callers, matching the pooled
-// path's determinism contract.
+// TestVerdicts32ConcurrentDeterminism checks the float32 path stays
+// bit-stable under concurrent callers, matching the float64 path's
+// determinism contract.
 func TestVerdicts32ConcurrentDeterminism(t *testing.T) {
 	s, x := test32Scorer(t, 1)
 	x32 := tensor.ToFloat32(x)

@@ -9,14 +9,14 @@ import (
 	"malevade/internal/tensor"
 )
 
-// TestInFlightAndQueueDepth drives concurrent pooled traffic plus one
-// direct float32 frame through an instrumented scorer and checks that the
+// TestInFlightAndQueueDepth drives concurrent float64 traffic plus one
+// float32 frame through an instrumented scorer and checks that the
 // saturation accessors return to zero at quiescence, that the lifetime
 // counters agree with Stats, and that the shared batch-rows histogram saw
 // every batch of both paths.
 func TestInFlightAndQueueDepth(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(testNet(t), 1, Options{Workers: 2, MaxBatch: 8, Obs: reg})
+	s := New(testNet(t), 1, Options{Workers: 2, Obs: reg})
 	defer s.Close()
 
 	if s.InFlight() != 0 || s.QueueDepth() != 0 {
@@ -79,7 +79,7 @@ func TestSharedRegistryAcrossScorers(t *testing.T) {
 	a.Logits(tensor.New(1, net.InDim()))
 	b.Logits(tensor.New(1, net.InDim()))
 	h := reg.Histogram("malevade_serve_batch_rows",
-		"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
+		"Rows scored by each forward pass.", BatchRowsBuckets)
 	if h.Count() != 2 {
 		t.Fatalf("shared histogram count %d, want 2", h.Count())
 	}

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"malevade/internal/detector"
 	"malevade/internal/nn"
@@ -35,8 +37,8 @@ func randomBatch(seed uint64, rows, cols int) *tensor.Matrix {
 // path bit for bit: logits, probabilities and predictions.
 func TestScorerMatchesSerial(t *testing.T) {
 	net := testNet(t)
-	x := randomBatch(7, 103, net.InDim()) // odd size: forces a partial chunk
-	s := New(net, 1, Options{Workers: 3, MaxBatch: 16})
+	x := randomBatch(7, 103, net.InDim())
+	s := New(net, 1, Options{Workers: 3})
 	defer s.Close()
 
 	wantLogits := net.Forward(x, false).Clone()
@@ -77,7 +79,7 @@ func TestScorerMatchesSerial(t *testing.T) {
 // test.
 func TestScorerConcurrentHammer(t *testing.T) {
 	net := testNet(t)
-	s := New(net, 4, Options{Workers: 4, MaxBatch: 8, QueueDepth: 2})
+	s := New(net, 4, Options{Workers: 4})
 	defer s.Close()
 
 	const goroutines = 8
@@ -126,84 +128,6 @@ func TestScorerConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestScorerCoalesces pre-loads the queue before any worker runs, so the
-// single worker must merge all pending requests into one batched forward
-// pass — the deterministic version of what concurrent callers get
-// opportunistically.
-func TestScorerCoalesces(t *testing.T) {
-	net := testNet(t)
-	s := newScorer(net, 1, Options{Workers: 1, MaxBatch: 64, QueueDepth: 16})
-
-	const nReqs = 5
-	outs := make([]*tensor.Matrix, nReqs)
-	want := make([]*tensor.Matrix, nReqs)
-	reqs := make([]*request, nReqs)
-	for i := 0; i < nReqs; i++ {
-		x := randomBatch(uint64(200+i), 3, net.InDim())
-		want[i] = net.Forward(x, false).Clone()
-		outs[i] = tensor.New(3, net.OutDim())
-		reqs[i] = &request{x: x, logits: outs[i], done: make(chan struct{})}
-		s.reqs <- reqs[i]
-	}
-	close(s.reqs)
-	s.wg.Add(1)
-	go s.worker()
-	s.wg.Wait()
-
-	batches, rows := s.Stats()
-	if batches != 1 {
-		t.Fatalf("queued requests ran in %d batches, want 1 merged batch", batches)
-	}
-	if rows != nReqs*3 {
-		t.Fatalf("Stats rows = %d, want %d", rows, nReqs*3)
-	}
-	for i := range reqs {
-		<-reqs[i].done // must be closed
-		for j, v := range want[i].Data {
-			if outs[i].Data[j] != v {
-				t.Fatalf("request %d logits diverged after coalescing", i)
-			}
-		}
-	}
-}
-
-// TestScorerRespectsBatchCap checks that a worker never merges past
-// MaxBatch: full chunks score alone, and a drained request that would
-// overflow the cap carries over to the next batch instead of inflating the
-// current one.
-func TestScorerRespectsBatchCap(t *testing.T) {
-	net := testNet(t)
-	s := newScorer(net, 1, Options{Workers: 1, MaxBatch: 4, QueueDepth: 16})
-	const nReqs = 3
-	for i := 0; i < nReqs; i++ {
-		x := randomBatch(uint64(300+i), 4, net.InDim()) // exactly MaxBatch rows
-		s.reqs <- &request{x: x, logits: tensor.New(4, net.OutDim()), done: make(chan struct{})}
-	}
-	close(s.reqs)
-	s.wg.Add(1)
-	go s.worker()
-	s.wg.Wait()
-	if batches, _ := s.Stats(); batches != nReqs {
-		t.Fatalf("full chunks merged into %d batches, want %d separate ones", batches, nReqs)
-	}
-
-	// 4 queued requests of 3 rows under MaxBatch 6: merging pairs is
-	// allowed (3+3=6), a third would overflow (9>6) and must carry over —
-	// so exactly 2 merged batches, never one of 9+ rows.
-	s2 := newScorer(net, 1, Options{Workers: 1, MaxBatch: 6, QueueDepth: 16})
-	for i := 0; i < 4; i++ {
-		x := randomBatch(uint64(310+i), 3, net.InDim())
-		s2.reqs <- &request{x: x, logits: tensor.New(3, net.OutDim()), done: make(chan struct{})}
-	}
-	close(s2.reqs)
-	s2.wg.Add(1)
-	go s2.worker()
-	s2.wg.Wait()
-	if batches, rows := s2.Stats(); batches != 2 || rows != 12 {
-		t.Fatalf("overflow carry produced %d batches / %d rows, want 2 / 12", batches, rows)
-	}
-}
-
 func TestScorerEmptyInput(t *testing.T) {
 	net := testNet(t)
 	s := New(net, 1, Options{Workers: 1})
@@ -226,9 +150,9 @@ func TestScorerCloseIdempotentAndPanicsAfter(t *testing.T) {
 	s.Logits(randomBatch(1, 1, net.InDim()))
 }
 
-// TestLogitsContextCancellation: the context-aware submit path must
-// return promptly with the context's error once cancelled, while the
-// plain Logits fast path stays un-cancellable and identical.
+// TestLogitsContextCancellation: the context-aware path must return the
+// context's error when the context has already ended, while the plain
+// Logits path stays un-cancellable and identical.
 func TestLogitsContextCancellation(t *testing.T) {
 	net := testNet(t)
 	s := New(net, 1, Options{Workers: 1})
@@ -251,4 +175,124 @@ func TestLogitsContextCancellation(t *testing.T) {
 	if _, err := s.LogitsContext(ctx, x); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled LogitsContext returned %v, want context.Canceled", err)
 	}
+}
+
+// waitFor polls cond until it holds, failing the test after a generous
+// deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestScorerSaturation runs more callers than slots through one engine:
+// a float32 frame, plain Logits, live and cancelled LogitsContext calls.
+// While the single slot is held every caller waits in QueueDepth —
+// frames included — cancelled waiters leave with context.Canceled, the
+// rest score bit-identically to the serial reference once the slot
+// frees, and the engine ends idle with no goroutine left behind.
+func TestScorerSaturation(t *testing.T) {
+	net := testNet(t)
+	plan, err := net.CompileF32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	s := New(net, 1, Options{Workers: 1})
+	defer s.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("New started goroutines: %d → %d", base, n)
+	}
+	if err := s.EnsurePlan(PrecisionFloat32); err != nil {
+		t.Fatal(err)
+	}
+
+	s.slots <- struct{}{} // hold the only slot
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+
+	frame := tensor.ToFloat32(randomBatch(40, 9, net.InDim()))
+	wantFrame := plan.Logits(frame)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err := s.Logits32(frame, PrecisionFloat32)
+		if err != nil {
+			errs <- "frame: " + err.Error()
+			return
+		}
+		for i, v := range wantFrame.Data {
+			if got.Data[i] != v {
+				errs <- "frame logits diverged from the plan's serial result"
+				return
+			}
+		}
+	}()
+	waitFor(t, "the frame to wait for a slot", func() bool { return s.QueueDepth() == 1 })
+
+	const live = 3
+	for g := 0; g < live; g++ {
+		x := randomBatch(uint64(50+g), 4+g, net.InDim())
+		want := net.Forward(x, false).Clone()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got *tensor.Matrix
+			if g%2 == 0 {
+				got = s.Logits(x)
+			} else {
+				var err error
+				if got, err = s.LogitsContext(context.Background(), x); err != nil {
+					errs <- "live LogitsContext: " + err.Error()
+					return
+				}
+			}
+			for i, v := range want.Data {
+				if got.Data[i] != v {
+					errs <- "live logits diverged from serial Forward"
+					return
+				}
+			}
+		}(g)
+	}
+
+	const cancelled = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	for g := 0; g < cancelled; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.LogitsContext(ctx, randomBatch(60, 3, net.InDim())); !errors.Is(err, context.Canceled) {
+				errs <- "cancelled waiter did not return context.Canceled"
+			}
+		}()
+	}
+	waitFor(t, "every caller to wait", func() bool { return s.QueueDepth() == 1+live+cancelled })
+	if got := s.InFlight(); got != 2+live+cancelled { // the held slot counts
+		t.Fatalf("in-flight %d while saturated, want %d", got, 2+live+cancelled)
+	}
+	cancel()
+	waitFor(t, "cancelled callers to leave", func() bool { return s.QueueDepth() == 1+live })
+	if _, err := s.LogitsContext(ctx, randomBatch(61, 2, net.InDim())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled LogitsContext returned %v, want context.Canceled", err)
+	}
+
+	<-s.slots // free the slot; the waiters run one at a time
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if s.InFlight() != 0 || s.QueueDepth() != 0 {
+		t.Fatalf("idle engine reports in-flight %d, queue %d", s.InFlight(), s.QueueDepth())
+	}
+	if batches, _ := s.Stats(); batches != 1+live {
+		t.Fatalf("%d forward passes, want %d (cancelled calls never run)", batches, 1+live)
+	}
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= base })
 }

@@ -237,7 +237,7 @@ func TestCampaignReloadHammer(t *testing.T) {
 	}
 	defer s.Close()
 
-	const rows = 60
+	const rows = 240
 	const batchSize = 2
 	const nCampaigns = 4
 	ids := make([]string, 0, nCampaigns)

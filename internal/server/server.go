@@ -1,4 +1,4 @@
-// Package server exposes the concurrent batched scoring engine as a JSON
+// Package server exposes the slot-bounded scoring engine as a JSON
 // HTTP daemon — the paper's deployed-detector setting (conf_dsn_HuangVFIKW19
 // §III), where adversaries probe a production malware classifier as a
 // black-box oracle over the network.
@@ -88,8 +88,8 @@ type Options struct {
 	// Temperature is the softmax temperature of the probability head
 	// (0 means 1).
 	Temperature float64
-	// Scorer tunes the underlying batched engine (workers, max merged
-	// batch, queue depth).
+	// Scorer tunes the underlying scoring engine (Workers: concurrent
+	// forward passes per model).
 	Scorer serve.Options
 	// MaxRows caps the rows accepted in one /v1/score or /v1/label
 	// request (default 4096). Larger batches are rejected with 400.
@@ -468,10 +468,10 @@ func (s *Server) registerFuncMetrics() {
 		"Monotonic generation of the model live on the default slot.",
 		func() float64 { return float64(s.ModelVersion()) })
 	s.obs.GaugeFunc("malevade_serve_queue_depth",
-		"Scoring requests buffered across every live engine's queue.",
+		"Scoring calls waiting for a forward-pass slot across every live engine.",
 		func() float64 { q, _ := s.engineLoad(); return float64(q) })
 	s.obs.GaugeFunc("malevade_serve_inflight_requests",
-		"Scoring requests submitted to engines and not yet answered.",
+		"Scoring calls waiting for or holding a forward-pass slot across every live engine.",
 		func() float64 { _, f := s.engineLoad(); return float64(f) })
 	s.obs.CounterFunc("malevade_campaigns_submitted_total",
 		"Adversarial campaigns accepted over the daemon lifetime.",
@@ -1011,7 +1011,7 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, endpoint string,
 //     saturates the probability to 1), from one combined pass when the
 //     chain has one and through Predict alone when only classes are
 //     wanted;
-//   - a bare model scores off the pooled float64 engine's logits.
+//   - a bare model scores off the float64 engine's logits.
 func (s *Server) verdicts(b batch, withProbs bool) (probs []float64, classes []int, err error) {
 	m, x := b.m, b.x
 	if b.x32 != nil {

@@ -189,7 +189,7 @@ func TestAddRowVector32(t *testing.T) {
 }
 
 // Benchmark shapes are the paper model's layers (491→1200→1500→1300→2) at
-// the server's max coalesced batch of 256 rows. Regenerate BENCH_infer.json
+// a 256-row batch. Regenerate BENCH_infer.json
 // from these plus the internal/nn inference benchmarks.
 var benchShapes = []struct {
 	name    string

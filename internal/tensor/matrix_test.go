@@ -138,7 +138,8 @@ func TestMatMulShapePanics(t *testing.T) {
 	}
 }
 
-// Property: MatMulBT(a, b) == MatMul(a, bᵀ) for random shapes.
+// Property: MatMulBT(a, b) == MatMul(a, bᵀ) bit for bit for random
+// shapes: both add the products of each dot product in ascending order.
 func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 25; trial++ {
@@ -149,7 +150,11 @@ func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 		MatMulBT(got, a, b)
 		want := New(m, n)
 		MatMul(want, a, b.Transpose())
-		assertAllClose(t, got, want, 1e-12)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("trial %d (%dx%d·%dx%dᵀ): [%d] = %v, want %v bit for bit", trial, m, k, n, k, i, got.Data[i], v)
+			}
+		}
 	}
 }
 
