@@ -10,8 +10,9 @@ import (
 
 // Plan32 is a compiled reduced-precision inference program for one
 // Network: the layer stack lowered to a flat list of steps over float32
-// copies of the weights, executed with
-// tensor.MatMulF32's vector kernels. The float64 Network remains the
+// copies of the weights, executed with tensor.DenseF32's vector kernels.
+// A dense layer and the ReLU that follows it are one step, computed in a
+// single pass by the kernel's epilogue. The float64 Network remains the
 // accuracy reference — a plan is an opt-in hot path whose agreement with
 // the reference is pinned by this package's parity tests, not a
 // replacement for it. Training, gradients, and serialization stay
@@ -36,13 +37,16 @@ const (
 	stepTanh
 )
 
-// step32 is one lowered stage: a float32 dense matmul-plus-bias, or an
-// element-wise activation. Dropout layers vanish at compile time
-// (inference-mode dropout is the identity).
+// step32 is one lowered stage: a float32 dense matmul-plus-bias, fused
+// with the ReLU that follows it when there is one, or an element-wise
+// activation. Dropout layers vanish at compile time (inference-mode
+// dropout is the identity), so Dense→Dropout→ReLU is one step too; a
+// stepReLU survives only where no dense step precedes it.
 type step32 struct {
 	kind stepKind
 	w    *tensor.Matrix32 // stepDenseF32
 	b    []float32        // dense bias
+	relu bool             // dense step: ReLU fused into the epilogue
 	out  int              // output width of this step
 }
 
@@ -69,6 +73,12 @@ func (n *Network) CompileF32() (*Plan32, error) {
 			p.steps = append(p.steps, step32{kind: stepDenseF32, w: w32, b: b32, out: l.out})
 			width = l.out
 		case *ReLU:
+			// ReLU is idempotent, so folding into a dense step that
+			// already has one is exact too.
+			if last := len(p.steps) - 1; last >= 0 && p.steps[last].kind == stepDenseF32 {
+				p.steps[last].relu = true
+				continue
+			}
 			p.steps = append(p.steps, step32{kind: stepReLU, out: width})
 		case *Sigmoid:
 			p.steps = append(p.steps, step32{kind: stepSigmoid, out: width})
@@ -126,8 +136,7 @@ func (p *Plan32) Infer(ws *Workspace32, x *tensor.Matrix32) *tensor.Matrix32 {
 		}
 		switch st.kind {
 		case stepDenseF32:
-			tensor.MatMulF32(dst, h, st.w)
-			tensor.AddRowVector32(dst, st.b)
+			tensor.DenseF32(dst, h, st.w, st.b, st.relu)
 		case stepReLU:
 			for j, v := range h.Data {
 				if v > 0 {

@@ -2,10 +2,12 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"malevade/internal/rng"
 	"malevade/internal/tensor"
 )
 
@@ -104,6 +106,131 @@ func TestPlan32ActivationsAndDropout(t *testing.T) {
 		}
 		x := parityInput(7, 40, 33)
 		checkParity(t, net.Probs(x, 1), planProbs(plan, x, 1), 1e-3, 1e-3)
+	}
+}
+
+// unfusedLogits32 is the test-only reference for Plan32's bits: the layer
+// stack run one layer at a time with nothing fused — MatMulF32, then an
+// ordinary float32 add of each bias element, then v > 0 ? v : 0 for each
+// ReLU; sigmoid and tanh through float64 as the plan does; dropout as the
+// identity.
+func unfusedLogits32(t *testing.T, net *Network, x *tensor.Matrix32) *tensor.Matrix32 {
+	t.Helper()
+	h := x
+	for _, l := range net.Layers() {
+		switch l := l.(type) {
+		case *Dense:
+			w := tensor.ToFloat32(l.W.Value)
+			out := tensor.New32(h.Rows, w.Cols)
+			tensor.MatMulF32(out, h, w)
+			for i := 0; i < out.Rows; i++ {
+				row := out.Row(i)
+				for j, b := range l.B.Value.Row(0) {
+					row[j] += float32(b)
+				}
+			}
+			h = out
+		case *ReLU:
+			h = h.Clone()
+			for j, v := range h.Data {
+				if !(v > 0) {
+					h.Data[j] = 0
+				}
+			}
+		case *Sigmoid:
+			h = h.Clone()
+			for j, v := range h.Data {
+				h.Data[j] = float32(sigmoid(float64(v)))
+			}
+		case *Tanh:
+			h = h.Clone()
+			for j, v := range h.Data {
+				h.Data[j] = float32(tanh(float64(v)))
+			}
+		case *Dropout:
+		default:
+			t.Fatalf("no unfused reference for %T", l)
+		}
+	}
+	return h
+}
+
+// planSteps renders a plan's step list, e.g. "dense+relu,dense".
+func planSteps(p *Plan32) string {
+	names := map[stepKind]string{stepDenseF32: "dense", stepReLU: "relu", stepSigmoid: "sigmoid", stepTanh: "tanh"}
+	var out []string
+	for _, st := range p.steps {
+		name := names[st.kind]
+		if st.relu {
+			name += "+relu"
+		}
+		out = append(out, name)
+	}
+	return strings.Join(out, ",")
+}
+
+// TestPlan32FusedMatchesUnfused pins Plan32's bits: fusing each
+// Dense(→Dropout)→ReLU into one DenseF32 step must give exactly the
+// unfused layer-by-layer sequence, and the step list shows which layers
+// fused. Inputs are signed so a leading ReLU has negatives to clamp.
+func TestPlan32FusedMatchesUnfused(t *testing.T) {
+	mlp := func(cfg MLPConfig) *Network {
+		net, err := NewMLP(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	stack := func(in int, layers ...Layer) *Network {
+		net, err := NewNetwork(in, layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	r := rng.New(21)
+	cases := []struct {
+		name  string
+		net   *Network
+		steps string
+		rows  []int
+	}{
+		{"paper", mlp(MLPConfig{Dims: []int{491, 512, 256, 2}, Seed: 7}),
+			"dense+relu,dense+relu,dense", []int{1, 3, 7, 256}},
+		{"relu-dropout", mlp(MLPConfig{Dims: []int{33, 24, 16, 2}, DropoutRate: 0.4, Seed: 9}),
+			"dense+relu,dense+relu,dense", []int{1, 7, 40}},
+		{"dropout-between", stack(33, NewDense(33, 24, r), NewDropout(0.4, r.Split()), NewReLU(), NewDense(24, 2, r)),
+			"dense+relu,dense", []int{1, 7, 40}},
+		{"sigmoid", mlp(MLPConfig{Dims: []int{33, 20, 2}, Activation: "sigmoid", Seed: 3}),
+			"dense,sigmoid,dense", []int{1, 7, 40}},
+		{"tanh", mlp(MLPConfig{Dims: []int{33, 20, 2}, Activation: "tanh", Seed: 5}),
+			"dense,tanh,dense", []int{1, 7, 40}},
+		{"leading-relu", stack(33, NewReLU(), NewDense(33, 20, r), NewReLU(), NewDense(20, 2, r)),
+			"relu,dense+relu,dense", []int{1, 7, 40}},
+	}
+	for _, tc := range cases {
+		plan, err := tc.net.CompileF32()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := planSteps(plan); got != tc.steps {
+			t.Fatalf("%s: steps %q, want %q", tc.name, got, tc.steps)
+		}
+		for _, rows := range tc.rows {
+			x := tensor.ToFloat32(parityInput(uint64(rows), rows, tc.net.InDim()))
+			if tc.name != "paper" {
+				for j, v := range x.Data {
+					x.Data[j] = 2*v - 1
+				}
+			}
+			got, want := plan.Logits(x), unfusedLogits32(t, tc.net, x)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s rows=%d: logit %d is %x, unfused %x", tc.name, rows, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+		}
 	}
 }
 

@@ -6,17 +6,21 @@ package tensor
 // stdlib-only: CPUID for the feature bits, XGETBV for what the OS
 // actually context-switches.
 
-//go:noescape
-func denseTile4x64(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr)
+// Each tile finishes with DenseF32's epilogue before its store: bias
+// (nil = none) points at the tile's first output column of the bias
+// vector, and relu clamps to +0 with VMAXPS against a zeroed register.
 
 //go:noescape
-func denseTile1x64(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr)
+func denseTile4x64(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr, bias *float32, relu bool)
 
 //go:noescape
-func denseTile2x32(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr)
+func denseTile1x64(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr, bias *float32, relu bool)
 
 //go:noescape
-func denseTile1x32(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr)
+func denseTile2x32(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr, bias *float32, relu bool)
+
+//go:noescape
+func denseTile1x32(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr, bias *float32, relu bool)
 
 //go:noescape
 func fma32(a, b, c float32) float32
@@ -75,15 +79,15 @@ func F32Kernel() string {
 	}
 }
 
-// matMulF32Range computes dst rows [lo, hi) of a × b, through the vector
-// tiles when the CPU has them. Column blocking is uniform across the
-// AVX-512 and AVX2 paths — the FMA-accumulated region is always
+// matMulF32Range computes dst rows [lo, hi) of DenseF32, through the
+// vector tiles when the CPU has them. Column blocking is uniform across
+// the AVX-512 and AVX2 paths — the FMA-accumulated region is always
 // b.Cols&^31 — so the two produce identical bits (the 64-wide path covers
 // b.Cols&^63 with ZMM tiles and the optional trailing 32-wide panel with
 // the YMM tiles).
-func matMulF32Range(dst, a, b *Matrix32, lo, hi int) {
+func matMulF32Range(dst, a, b *Matrix32, bias []float32, relu bool, lo, hi int) {
 	if !useAVX2 || hi <= lo {
-		matMulF32Generic(dst, a, b, lo, hi)
+		matMulF32Generic(dst, a, b, bias, relu, lo, hi)
 		return
 	}
 	k, n := a.Cols, b.Cols
@@ -94,25 +98,36 @@ func matMulF32Range(dst, a, b *Matrix32, lo, hi int) {
 	j := 0
 	if useAVX512 {
 		for ; j+64 <= n; j += 64 {
+			bp := biasAt(bias, j)
 			i := lo
 			for ; i+4 <= hi; i += 4 {
-				denseTile4x64(&dst.Data[i*n+j], dStride, &b.Data[j], bStride, &a.Data[i*k], aStride, uk)
+				denseTile4x64(&dst.Data[i*n+j], dStride, &b.Data[j], bStride, &a.Data[i*k], aStride, uk, bp, relu)
 			}
 			for ; i < hi; i++ {
-				denseTile1x64(&dst.Data[i*n+j], &b.Data[j], bStride, &a.Data[i*k], uk)
+				denseTile1x64(&dst.Data[i*n+j], &b.Data[j], bStride, &a.Data[i*k], uk, bp, relu)
 			}
 		}
 	}
 	for ; j+32 <= n; j += 32 {
+		bp := biasAt(bias, j)
 		i := lo
 		for ; i+2 <= hi; i += 2 {
-			denseTile2x32(&dst.Data[i*n+j], dStride, &b.Data[j], bStride, &a.Data[i*k], aStride, uk)
+			denseTile2x32(&dst.Data[i*n+j], dStride, &b.Data[j], bStride, &a.Data[i*k], aStride, uk, bp, relu)
 		}
 		for ; i < hi; i++ {
-			denseTile1x32(&dst.Data[i*n+j], &b.Data[j], bStride, &a.Data[i*k], uk)
+			denseTile1x32(&dst.Data[i*n+j], &b.Data[j], bStride, &a.Data[i*k], uk, bp, relu)
 		}
 	}
 	if j < n {
-		matMulF32ColTail(dst, a, b, lo, hi, j)
+		matMulF32ColTail(dst, a, b, bias, relu, lo, hi, j)
 	}
+}
+
+// biasAt returns the tile argument for the bias panel starting at column
+// j: nil when there is no bias.
+func biasAt(bias []float32, j int) *float32 {
+	if bias == nil {
+		return nil
+	}
+	return &bias[j]
 }

@@ -3,14 +3,21 @@
 // output element is one FMA accumulation over k in ascending order, so
 // any tile shape — 4x64 ZMM, 1x64 ZMM, 2x32 YMM, 1x32 YMM — produces
 // bit-identical results; tiles only regroup independent output elements.
+//
+// Every tile ends with the same epilogue before its stores: when bias is
+// non-nil, one VADDPS of the bias panel into each accumulator row (acc +
+// bias, one rounding); when relu is set, VMAXPS against a zeroed
+// register. Go's VMAXPS zero, acc, acc is Intel's maxps(acc, zero), which
+// returns the second operand unless acc > zero, so NaN, −0 and +0 all
+// become +0, exactly like v > 0 ? v : 0.
 
 #include "textflag.h"
 
-// func denseTile4x64(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr)
+// func denseTile4x64(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr, bias *float32, relu bool)
 // AVX-512: 4 output rows x 64 output columns. 16 ZMM accumulators stay
 // register-resident for the whole k loop; each loaded 64-wide panel of b
 // is shared by all 4 broadcast a rows (8 FMAs per 4 loads).
-TEXT ·denseTile4x64(SB), NOSPLIT, $0-56
+TEXT ·denseTile4x64(SB), NOSPLIT, $0-65
 	MOVQ dst+0(FP), DI
 	MOVQ dstStride+8(FP), R11
 	MOVQ b+16(FP), SI
@@ -73,6 +80,50 @@ loop4x64:
 	INCQ CX
 	JMP  loop4x64
 done4x64:
+	MOVQ bias+56(FP), AX
+	TESTQ AX, AX
+	JZ   relu4x64
+	VMOVUPS (AX), Z16
+	VMOVUPS 64(AX), Z17
+	VMOVUPS 128(AX), Z18
+	VMOVUPS 192(AX), Z19
+	VADDPS Z16, Z0, Z0
+	VADDPS Z17, Z1, Z1
+	VADDPS Z18, Z2, Z2
+	VADDPS Z19, Z3, Z3
+	VADDPS Z16, Z4, Z4
+	VADDPS Z17, Z5, Z5
+	VADDPS Z18, Z6, Z6
+	VADDPS Z19, Z7, Z7
+	VADDPS Z16, Z8, Z8
+	VADDPS Z17, Z9, Z9
+	VADDPS Z18, Z10, Z10
+	VADDPS Z19, Z11, Z11
+	VADDPS Z16, Z12, Z12
+	VADDPS Z17, Z13, Z13
+	VADDPS Z18, Z14, Z14
+	VADDPS Z19, Z15, Z15
+relu4x64:
+	CMPB relu+64(FP), $0
+	JEQ  store4x64
+	VXORPS Z20, Z20, Z20
+	VMAXPS Z20, Z0, Z0
+	VMAXPS Z20, Z1, Z1
+	VMAXPS Z20, Z2, Z2
+	VMAXPS Z20, Z3, Z3
+	VMAXPS Z20, Z4, Z4
+	VMAXPS Z20, Z5, Z5
+	VMAXPS Z20, Z6, Z6
+	VMAXPS Z20, Z7, Z7
+	VMAXPS Z20, Z8, Z8
+	VMAXPS Z20, Z9, Z9
+	VMAXPS Z20, Z10, Z10
+	VMAXPS Z20, Z11, Z11
+	VMAXPS Z20, Z12, Z12
+	VMAXPS Z20, Z13, Z13
+	VMAXPS Z20, Z14, Z14
+	VMAXPS Z20, Z15, Z15
+store4x64:
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
 	VMOVUPS Z2, 128(DI)
@@ -95,10 +146,10 @@ done4x64:
 	VZEROUPPER
 	RET
 
-// func denseTile1x64(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr)
+// func denseTile1x64(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr, bias *float32, relu bool)
 // AVX-512: 1 output row x 64 output columns (the row tail of the 4x64
 // tiling). b panels are memory operands of the FMAs.
-TEXT ·denseTile1x64(SB), NOSPLIT, $0-40
+TEXT ·denseTile1x64(SB), NOSPLIT, $0-49
 	MOVQ dst+0(FP), DI
 	MOVQ b+8(FP), SI
 	MOVQ bStride+16(FP), DX
@@ -121,6 +172,26 @@ loop1x64:
 	INCQ CX
 	JMP  loop1x64
 done1x64:
+	MOVQ bias+40(FP), AX
+	TESTQ AX, AX
+	JZ   relu1x64
+	VMOVUPS (AX), Z16
+	VMOVUPS 64(AX), Z17
+	VMOVUPS 128(AX), Z18
+	VMOVUPS 192(AX), Z19
+	VADDPS Z16, Z0, Z0
+	VADDPS Z17, Z1, Z1
+	VADDPS Z18, Z2, Z2
+	VADDPS Z19, Z3, Z3
+relu1x64:
+	CMPB relu+48(FP), $0
+	JEQ  store1x64
+	VXORPS Z20, Z20, Z20
+	VMAXPS Z20, Z0, Z0
+	VMAXPS Z20, Z1, Z1
+	VMAXPS Z20, Z2, Z2
+	VMAXPS Z20, Z3, Z3
+store1x64:
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, 64(DI)
 	VMOVUPS Z2, 128(DI)
@@ -128,10 +199,10 @@ done1x64:
 	VZEROUPPER
 	RET
 
-// func denseTile2x32(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr)
+// func denseTile2x32(dst *float32, dstStride uintptr, b *float32, bStride uintptr, a *float32, aStride uintptr, k uintptr, bias *float32, relu bool)
 // AVX2+FMA: 2 output rows x 32 output columns. 8 YMM accumulators; each
 // loaded 32-wide b panel is shared by both broadcast a rows.
-TEXT ·denseTile2x32(SB), NOSPLIT, $0-56
+TEXT ·denseTile2x32(SB), NOSPLIT, $0-65
 	MOVQ dst+0(FP), DI
 	MOVQ dstStride+8(FP), R11
 	MOVQ b+16(FP), SI
@@ -171,6 +242,34 @@ loop2x32:
 	INCQ CX
 	JMP  loop2x32
 done2x32:
+	MOVQ bias+56(FP), AX
+	TESTQ AX, AX
+	JZ   relu2x32
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VMOVUPS 64(AX), Y10
+	VMOVUPS 96(AX), Y11
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y10, Y2, Y2
+	VADDPS Y11, Y3, Y3
+	VADDPS Y8, Y4, Y4
+	VADDPS Y9, Y5, Y5
+	VADDPS Y10, Y6, Y6
+	VADDPS Y11, Y7, Y7
+relu2x32:
+	CMPB relu+64(FP), $0
+	JEQ  store2x32
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y12, Y0, Y0
+	VMAXPS Y12, Y1, Y1
+	VMAXPS Y12, Y2, Y2
+	VMAXPS Y12, Y3, Y3
+	VMAXPS Y12, Y4, Y4
+	VMAXPS Y12, Y5, Y5
+	VMAXPS Y12, Y6, Y6
+	VMAXPS Y12, Y7, Y7
+store2x32:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -183,10 +282,10 @@ done2x32:
 	VZEROUPPER
 	RET
 
-// func denseTile1x32(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr)
+// func denseTile1x32(dst *float32, b *float32, bStride uintptr, a *float32, k uintptr, bias *float32, relu bool)
 // AVX2+FMA: 1 output row x 32 output columns (the row tail of the 2x32
 // tiling).
-TEXT ·denseTile1x32(SB), NOSPLIT, $0-40
+TEXT ·denseTile1x32(SB), NOSPLIT, $0-49
 	MOVQ dst+0(FP), DI
 	MOVQ b+8(FP), SI
 	MOVQ bStride+16(FP), DX
@@ -209,6 +308,26 @@ loop1x32:
 	INCQ CX
 	JMP  loop1x32
 done1x32:
+	MOVQ bias+40(FP), AX
+	TESTQ AX, AX
+	JZ   relu1x32
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VMOVUPS 64(AX), Y10
+	VMOVUPS 96(AX), Y11
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y10, Y2, Y2
+	VADDPS Y11, Y3, Y3
+relu1x32:
+	CMPB relu+48(FP), $0
+	JEQ  store1x32
+	VXORPS Y12, Y12, Y12
+	VMAXPS Y12, Y0, Y0
+	VMAXPS Y12, Y1, Y1
+	VMAXPS Y12, Y2, Y2
+	VMAXPS Y12, Y3, Y3
+store1x32:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)

@@ -9,7 +9,7 @@ package tensor
 // CPU: always "generic" off amd64.
 func F32Kernel() string { return "generic" }
 
-// matMulF32Range computes dst rows [lo, hi) of a × b.
-func matMulF32Range(dst, a, b *Matrix32, lo, hi int) {
-	matMulF32Generic(dst, a, b, lo, hi)
+// matMulF32Range computes dst rows [lo, hi) of DenseF32.
+func matMulF32Range(dst, a, b *Matrix32, bias []float32, relu bool, lo, hi int) {
+	matMulF32Generic(dst, a, b, bias, relu, lo, hi)
 }

@@ -46,17 +46,52 @@ func naiveF32(a, b *Matrix32) *Matrix32 {
 	return dst
 }
 
+// withEpilogue applies DenseF32's epilogue to a reference product the way
+// an unfused layer does: an ordinary float32 add of bias[j] to column j
+// (when bias is non-nil), then v > 0 ? v : 0 (when relu). It overwrites m
+// and returns it.
+func withEpilogue(m *Matrix32, bias []float32, relu bool) *Matrix32 {
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			v := m.At(i, j)
+			if bias != nil {
+				v += bias[j]
+			}
+			if relu && !(v > 0) {
+				v = 0
+			}
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// epilogueCases are the (bias, relu) combinations every DenseF32 test
+// runs: matmul only, bias only, ReLU only, and the fused dense layer.
+func epilogueCases(r *rand.Rand, cols int) []struct {
+	bias []float32
+	relu bool
+} {
+	bias := rand32(r, 1, cols, 0.2).Data
+	return []struct {
+		bias []float32
+		relu bool
+	}{{nil, false}, {bias, false}, {nil, true}, {bias, true}}
+}
+
 func TestMatMulF32GenericMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, sh := range [][3]int{{1, 1, 1}, {3, 17, 5}, {7, 64, 33}, {16, 100, 70}} {
 		a := rand32(r, sh[0], sh[1], 0.4)
 		b := rand32(r, sh[1], sh[2], 0.2)
-		got := New32(sh[0], sh[2])
-		matMulF32Generic(got, a, b, 0, a.Rows)
-		want := naiveF32(a, b)
-		if i, ok := bitsEqual32(got, want); !ok {
-			t.Fatalf("shape %v: generic differs from naive at flat index %d: %g vs %g",
-				sh, i, got.Data[i], want.Data[i])
+		for _, ep := range epilogueCases(r, sh[2]) {
+			got := New32(sh[0], sh[2])
+			matMulF32Generic(got, a, b, ep.bias, ep.relu, 0, a.Rows)
+			want := withEpilogue(naiveF32(a, b), ep.bias, ep.relu)
+			if i, ok := bitsEqual32(got, want); !ok {
+				t.Fatalf("shape %v bias=%t relu=%t: generic differs from naive at flat index %d: %g vs %g",
+					sh, ep.bias != nil, ep.relu, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }
@@ -81,13 +116,16 @@ func TestMatMulF32ParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := rand32(r, 37, 130, 0.3)
 	b := rand32(r, 130, 97, 0)
-	serial := New32(37, 97)
-	matMulF32Range(serial, a, b, 0, a.Rows)
-	for _, workers := range []int{2, 3, 8, 64} {
-		par := New32(37, 97)
-		matMulF32Parallel(par, a, b, workers)
-		if i, ok := bitsEqual32(par, serial); !ok {
-			t.Fatalf("workers=%d: parallel differs from serial at flat index %d", workers, i)
+	for _, ep := range epilogueCases(r, b.Cols) {
+		serial := New32(37, 97)
+		matMulF32Range(serial, a, b, ep.bias, ep.relu, 0, a.Rows)
+		for _, workers := range []int{2, 3, 8, 64} {
+			par := New32(37, 97)
+			matMulF32Parallel(par, a, b, ep.bias, ep.relu, workers)
+			if i, ok := bitsEqual32(par, serial); !ok {
+				t.Fatalf("workers=%d bias=%t relu=%t: parallel differs from serial at flat index %d",
+					workers, ep.bias != nil, ep.relu, i)
+			}
 		}
 	}
 }
@@ -104,6 +142,48 @@ func TestMatMulF32DegenerateShapes(t *testing.T) {
 	// Zero rows / zero cols: no panic, nothing to write.
 	MatMulF32(New32(0, 3), New32(0, 5), New32(5, 3))
 	MatMulF32(New32(2, 0), New32(2, 5), New32(5, 0))
+}
+
+// TestDenseF32ZeroInnerDimAppliesEpilogue: with k = 0 every accumulator
+// is +0, so the output is exactly the epilogue of +0 — the bias (with
+// +0 + −0 = +0), then ReLU.
+func TestDenseF32ZeroInnerDimAppliesEpilogue(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	bias := []float32{1, -2, negZero}
+	for _, relu := range []bool{false, true} {
+		dst := FromSlice32(2, 3, []float32{7, 7, 7, 7, 7, 7})
+		DenseF32(dst, New32(2, 0), New32(0, 3), bias, relu)
+		want := withEpilogue(New32(2, 3), bias, relu)
+		if i, ok := bitsEqual32(dst, want); !ok {
+			t.Fatalf("relu=%t: k=0 dst[%d] = %x, want %x", relu, i,
+				math.Float32bits(dst.Data[i]), math.Float32bits(want.Data[i]))
+		}
+		if math.Signbit(float64(dst.At(1, 2))) {
+			t.Fatalf("relu=%t: +0 accumulator plus −0 bias must be +0", relu)
+		}
+	}
+}
+
+// TestDenseF32BiasAdd is the plain bias-add case (the former
+// AddRowVector32 contract): identity weights, so dst = a + bias row-wise,
+// and a bias of the wrong length panics.
+func TestDenseF32BiasAdd(t *testing.T) {
+	a := FromSlice32(2, 2, []float32{1, 2, 3, 4})
+	id := FromSlice32(2, 2, []float32{1, 0, 0, 1})
+	dst := New32(2, 2)
+	DenseF32(dst, a, id, []float32{10, 20}, false)
+	want := []float32{11, 22, 13, 24}
+	for i, v := range want {
+		if dst.Data[i] != v {
+			t.Fatalf("Data[%d] = %g, want %g", i, dst.Data[i], v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on bias length mismatch")
+		}
+	}()
+	DenseF32(dst, a, id, []float32{1}, false)
 }
 
 func TestMatMulF32PanicsOnShapeMismatch(t *testing.T) {
@@ -169,23 +249,6 @@ func TestFloat32Float64Conversions(t *testing.T) {
 	if !math.IsInf(float64(n.Data[0]), 1) || !math.IsInf(float64(n.Data[1]), -1) {
 		t.Fatalf("overflow must narrow to ±Inf, got %v", n.Data)
 	}
-}
-
-func TestAddRowVector32(t *testing.T) {
-	m := FromSlice32(2, 2, []float32{1, 2, 3, 4})
-	AddRowVector32(m, []float32{10, 20})
-	want := []float32{11, 22, 13, 24}
-	for i, v := range want {
-		if m.Data[i] != v {
-			t.Fatalf("Data[%d] = %g, want %g", i, m.Data[i], v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	AddRowVector32(m, []float32{1})
 }
 
 // Benchmark shapes are the paper model's layers (491→1200→1500→1300→2) at

@@ -103,16 +103,3 @@ func ToFloat32(m *Matrix) *Matrix32 {
 	}
 	return out
 }
-
-// AddRowVector32 adds the 1×Cols vector v to every row of dst.
-func AddRowVector32(dst *Matrix32, v []float32) {
-	if len(v) != dst.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector32 len %d != cols %d", len(v), dst.Cols))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
