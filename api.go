@@ -591,8 +591,8 @@ func OpenResultsStore(opts ResultsStoreOptions) (*ResultsStore, error) {
 
 // NewResultsMiner starts a historical-attack mining engine over st's
 // recorded traffic — the same engine the HTTP daemon exposes as /v1/mine.
-// Close it to stop the workers; terminal snapshots survive in memory up to
-// opts.MaxHistory.
+// Close it to stop the workers (queued sweeps end cancelled); terminal
+// snapshots survive in memory up to opts.MaxHistory.
 func NewResultsMiner(st *ResultsStore, opts MinerOptions) *Miner {
 	return store.NewMiner(st, opts)
 }

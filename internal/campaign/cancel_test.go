@@ -3,11 +3,13 @@ package campaign
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"malevade/internal/attack"
+	"malevade/internal/obs"
 	"malevade/internal/tensor"
 )
 
@@ -144,6 +146,49 @@ func TestCancelQueuedCampaign(t *testing.T) {
 
 	e.Close()
 	assertNoGoroutineLeak(t, baseline)
+}
+
+// TestCancelQueuedCampaignCounted: a campaign cancelled while queued is a
+// terminal transition like any other, so malevade_campaign_jobs_total
+// counts it next to its sibling that ran to completion.
+func TestCancelQueuedCampaignCounted(t *testing.T) {
+	dims := []int{6, 2}
+	craftPath, _ := testNet(t, t.TempDir(), dims, 1)
+	reg := obs.NewRegistry()
+	e := NewEngine(Options{Workers: 1, LocalTarget: &slowTarget{delay: 5 * time.Millisecond}, Obs: reg})
+	defer e.Close()
+	sp := Spec{
+		Attack:         attack.Config{Kind: attack.KindFGSM, Theta: 0.1},
+		CraftModelPath: craftPath,
+		Rows:           testRows(20, dims[0], 2),
+		BatchSize:      1,
+	}
+	first, err := e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := e.Cancel(queued.ID); s.Status != StatusCancelled {
+		t.Fatalf("cancel queued campaign: status %s, want cancelled", s.Status)
+	}
+	if err := e.Wait(context.Background(), first.ID); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`malevade_campaign_jobs_total{status="done"} 1`,
+		`malevade_campaign_jobs_total{status="cancelled"} 1`,
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("metrics lack %s:\n%s", want, text.String())
+		}
+	}
 }
 
 // TestCloseCancelsEverything: Close on a busy engine must cancel running

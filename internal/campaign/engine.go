@@ -5,19 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"malevade/internal/attack"
 	"malevade/internal/experiments"
+	"malevade/internal/jobs"
 	"malevade/internal/nn"
 	"malevade/internal/obs"
 	"malevade/internal/tensor"
 )
 
-// JobSecondsBuckets are the job-duration histogram bounds shared by the
-// campaign, harden and mine engines: 10ms (a tiny smoke-test campaign)
+// JobSecondsBuckets are the duration histogram bounds of the campaign
+// engine (malevade_campaign_seconds) and the hardening engine
+// (malevade_harden_round_seconds): 10ms (a tiny smoke-test campaign)
 // through 10 minutes (a full hardening round).
 var JobSecondsBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
@@ -107,33 +108,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Submission and lookup errors an API layer maps to status codes.
+// Submission errors an API layer maps to status codes; aliases of the job
+// runner's, so every engine refuses with the same values.
 var (
 	// ErrQueueFull rejects a Submit when every worker is busy and the
 	// backlog is at QueueDepth.
-	ErrQueueFull = errors.New("campaign: queue is full")
+	ErrQueueFull = jobs.ErrQueueFull
 	// ErrClosed rejects operations on a closed engine.
-	ErrClosed = errors.New("campaign: engine is closed")
+	ErrClosed = jobs.ErrClosed
 )
 
-// job is one campaign's mutable state. The engine's map owns the pointer;
-// all fields past the immutable head are guarded by mu so status polls and
-// the runner never race.
-type job struct {
-	id     string
-	spec   Spec
-	ctx    context.Context
-	cancel context.CancelFunc
+// progress is one campaign's own state, guarded by its job's lock.
+type progress struct {
+	spec Spec
 	// sink is set only when the engine's sink accepted CampaignStarted,
 	// so a log that failed to open is not streamed into.
-	sink Sink
-
-	mu          sync.Mutex
-	status      Status
-	errMsg      string
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
+	sink        Sink
 	total       int
 	batches     int
 	retries     int
@@ -143,51 +133,47 @@ type job struct {
 	results     []SampleResult
 }
 
-// Engine is the asynchronous campaign orchestrator: a bounded worker pool
-// draining a submission queue, with every campaign addressable by id for
-// polling and cancellation. Create with NewEngine, Close when done; all
+type job = jobs.Job[progress]
+
+// Engine is the asynchronous campaign orchestrator: campaigns run on the
+// shared job runner (internal/jobs) — a bounded worker pool draining a
+// submission queue, every campaign addressable by id for polling,
+// cancellation and waiting. Create with NewEngine, Close when done; all
 // methods are safe for concurrent use.
 type Engine struct {
-	opts  Options
-	queue chan *job
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	closed bool
-	seq    int64
-
-	submitted atomic.Int64
-	evicted   atomic.Int64
-
-	log      *slog.Logger
-	jobsDone *obs.CounterVec // nil without Options.Obs
-	duration *obs.Histogram  // nil without Options.Obs
+	opts Options
+	log  *slog.Logger
+	jobs *jobs.Runner[progress, Snapshot]
 }
 
 // NewEngine starts an engine with opts.Workers campaign workers.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts.withDefaults(), jobs: make(map[string]*job)}
+	e := &Engine{opts: opts.withDefaults()}
 	e.log = obs.Or(e.opts.Logger)
+	cfg := jobs.Config[progress, Snapshot]{
+		Kind:       "campaign",
+		Workers:    e.opts.Workers,
+		QueueDepth: e.opts.QueueDepth,
+		MaxHistory: e.opts.MaxHistory,
+		BaseSeq:    e.opts.BaseSeq,
+		Execute:    e.execute,
+		Snapshot:   func(j *job) Snapshot { return snapshotLocked(j, 0, false) },
+		Attrs: func(j *job) []any {
+			return []any{slog.String("attack", j.Data.spec.Attack.String()),
+				slog.String("model", j.Data.spec.TargetModel),
+				slog.Int("samples", len(j.Data.results)), slog.Int("total", j.Data.total)}
+		},
+		Finish: e.finishSink,
+		Logger: e.opts.Logger,
+	}
 	if e.opts.Obs != nil {
-		e.jobsDone = e.opts.Obs.CounterVec("malevade_campaign_jobs_total",
+		cfg.Terminal = e.opts.Obs.CounterVec("malevade_campaign_jobs_total",
 			"Campaigns reaching a terminal status.", "status")
-		e.duration = e.opts.Obs.Histogram("malevade_campaign_seconds",
+		cfg.Seconds = e.opts.Obs.Histogram("malevade_campaign_seconds",
 			"Campaign wall-clock duration from start to terminal, in seconds.",
 			JobSecondsBuckets)
 	}
-	e.seq = e.opts.BaseSeq
-	e.queue = make(chan *job, e.opts.QueueDepth)
-	e.wg.Add(e.opts.Workers)
-	for i := 0; i < e.opts.Workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for j := range e.queue {
-				e.run(j)
-			}
-		}()
-	}
+	e.jobs = jobs.New(cfg)
 	return e
 }
 
@@ -215,222 +201,75 @@ func (e *Engine) Submit(spec Spec) (Snapshot, error) {
 			return Snapshot{}, err
 		}
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return Snapshot{}, ErrClosed
-	}
-	if len(e.queue) == cap(e.queue) {
-		e.mu.Unlock()
-		return Snapshot{}, ErrQueueFull
-	}
-	e.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:        fmt.Sprintf("c%06d", e.seq),
-		spec:      spec,
-		ctx:       ctx,
-		cancel:    cancel,
-		status:    StatusQueued,
-		submitted: time.Now(),
-		total:     len(spec.Rows),
-	}
-	if e.opts.Sink != nil {
+	return e.jobs.Submit(progress{spec: spec, total: len(spec.Rows)}, func(j *job) {
+		if e.opts.Sink == nil {
+			return
+		}
 		// Open the durable log before the job can produce a result, so
 		// the sink's event stream always begins with Started. A sink
 		// failure downgrades this campaign to in-memory only.
-		if err := e.opts.Sink.CampaignStarted(j.id, spec, j.submitted); err != nil {
+		if err := e.opts.Sink.CampaignStarted(j.ID, spec, j.State.SubmittedAt); err != nil {
 			e.log.Warn("results sink rejected campaign start",
-				slog.String("campaign", j.id), slog.String("error", err.Error()))
+				slog.String("campaign", j.ID), slog.String("error", err.Error()))
 		} else {
-			j.sink = e.opts.Sink
+			j.Data.sink = e.opts.Sink
 		}
-	}
-	// Snapshot before the enqueue: once a worker holds the job it may
-	// finish before Submit returns, and the caller must see it queued.
-	snap := j.snapshot(0, false)
-	// Cannot block: only Submit sends, only under e.mu, workers only
-	// drain, and capacity was checked above.
-	e.queue <- j
-	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
-	e.evictLocked()
-	e.mu.Unlock()
-	e.submitted.Add(1)
-	e.log.Info("campaign queued",
-		slog.String("campaign", j.id),
-		slog.String("attack", spec.Attack.String()),
-		slog.String("model", spec.TargetModel))
-	return snap, nil
+	})
 }
 
 // Get returns a snapshot with per-sample results from offset on, or false
 // for an unknown id.
 func (e *Engine) Get(id string, offset int) (Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
+	j, ok := e.jobs.Job(id)
 	if !ok {
 		return Snapshot{}, false
 	}
-	return j.snapshot(offset, true), true
+	j.Lock()
+	defer j.Unlock()
+	return snapshotLocked(j, offset, true), true
 }
 
 // List returns summary snapshots (no per-sample results) in submission
 // order.
-func (e *Engine) List() []Snapshot {
-	e.mu.Lock()
-	ids := append([]string(nil), e.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, e.jobs[id])
-	}
-	e.mu.Unlock()
-	out := make([]Snapshot, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.snapshot(0, false))
-	}
-	return out
-}
+func (e *Engine) List() []Snapshot { return e.jobs.List() }
 
 // Cancel requests cancellation and returns the resulting snapshot, or false
 // for an unknown id. A queued campaign is marked cancelled immediately; a
 // running one stops at its next batch boundary; a terminal one is
-// unchanged. Cancel returns as soon as the request is registered — poll Get
-// for the terminal state.
-func (e *Engine) Cancel(id string) (Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return Snapshot{}, false
-	}
-	j.cancel()
-	j.mu.Lock()
-	if j.status == StatusQueued {
-		j.markCancelledLocked()
-	}
-	j.mu.Unlock()
-	e.log.Info("campaign cancel requested", slog.String("campaign", id))
-	return j.snapshot(0, false), true
-}
+// unchanged. Cancel returns as soon as the request is registered — Wait or
+// poll Get for the terminal state.
+func (e *Engine) Cancel(id string) (Snapshot, bool) { return e.jobs.Cancel(id) }
+
+// Wait blocks until the campaign is terminal, with its results sealed in
+// the Sink, or until ctx ends.
+func (e *Engine) Wait(ctx context.Context, id string) error { return e.jobs.Wait(ctx, id) }
 
 // Submitted counts campaigns accepted since the engine started.
-func (e *Engine) Submitted() int64 { return e.submitted.Load() }
+func (e *Engine) Submitted() int64 { return e.jobs.Submitted() }
 
 // Evicted counts terminal campaigns dropped from in-memory history by the
 // MaxHistory cap. With a Sink attached their results remain durably stored
 // and queryable; without one they are gone — either way the eviction is
 // counted and logged, never silent.
-func (e *Engine) Evicted() int64 { return e.evicted.Load() }
-
-// evictLocked drops the oldest terminal campaigns beyond MaxHistory so a
-// long-lived engine's memory stays bounded. Live (queued/running) campaigns
-// are never evicted; the map can therefore briefly exceed the cap when
-// everything retained is still live. Evicted campaigns' ids answer
-// "unknown" from the engine afterwards, but their results were already
-// streamed to the Sink (when one is attached), so eviction archives rather
-// than destroys. Callers hold e.mu.
-func (e *Engine) evictLocked() {
-	if len(e.order) <= e.opts.MaxHistory {
-		return
-	}
-	kept := e.order[:0]
-	excess := len(e.order) - e.opts.MaxHistory
-	for _, id := range e.order {
-		j := e.jobs[id]
-		if excess > 0 && j.snapshotStatus().Terminal() {
-			delete(e.jobs, id)
-			excess--
-			e.evicted.Add(1)
-			e.log.Info("campaign evicted from history",
-				slog.String("campaign", id),
-				slog.Bool("archived", j.sink != nil))
-			continue
-		}
-		kept = append(kept, id)
-	}
-	e.order = kept
-}
+func (e *Engine) Evicted() int64 { return e.jobs.Evicted() }
 
 // Close cancels every campaign, stops the workers and waits for them.
 // Idempotent; subsequent Submits fail with ErrClosed while Get/List keep
 // answering from the final snapshots.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+func (e *Engine) Close() { e.jobs.Close() }
+
+// finishSink seals the job's durable log with its terminal snapshot; the
+// runner calls it once per job, after its terminal transition.
+func (e *Engine) finishSink(j *job) {
+	j.Lock()
+	sink, snap := j.Data.sink, snapshotLocked(j, 0, false)
+	j.Unlock()
+	if sink == nil {
 		return
 	}
-	e.closed = true
-	jobs := make([]*job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
-	e.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-	close(e.queue)
-	e.wg.Wait()
-}
-
-// run executes one campaign on a worker goroutine.
-func (e *Engine) run(j *job) {
-	j.mu.Lock()
-	if j.ctx.Err() != nil || j.status != StatusQueued {
-		// Cancelled while queued (or Close raced the queue drain):
-		// never start.
-		j.markCancelledLocked()
-		j.mu.Unlock()
-		j.finishSink(e)
-		return
-	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	e.log.Info("campaign running", slog.String("campaign", j.id))
-
-	err := e.execute(j)
-
-	j.mu.Lock()
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.status = StatusDone
-	case errors.Is(err, context.Canceled):
-		j.status = StatusCancelled
-		j.errMsg = "cancelled"
-	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	}
-	status, done, total := j.status, len(j.results), j.total
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	if e.jobsDone != nil {
-		e.jobsDone.With(string(status)).Inc()
-		e.duration.Observe(elapsed.Seconds())
-	}
-	e.log.Info("campaign finished",
-		slog.String("campaign", j.id),
-		slog.String("status", string(status)),
-		slog.Int("samples", done),
-		slog.Int("total", total),
-		slog.Duration("elapsed", elapsed))
-	j.finishSink(e)
-}
-
-// finishSink seals the job's durable log with its terminal snapshot. Every
-// job that entered the queue passes through run exactly once (Close drains
-// the queue), so this is the single Finished call site.
-func (j *job) finishSink(e *Engine) {
-	if j.sink == nil {
-		return
-	}
-	if err := j.sink.CampaignFinished(j.id, j.snapshot(0, false)); err != nil {
+	if err := sink.CampaignFinished(j.ID, snap); err != nil {
 		e.log.Warn("results sink rejected campaign finish",
-			slog.String("campaign", j.id), slog.String("error", err.Error()))
+			slog.String("campaign", j.ID), slog.String("error", err.Error()))
 	}
 }
 
@@ -438,40 +277,35 @@ func (j *job) finishSink(e *Engine) {
 // target, then craft and judge batch by batch. Panics from the attack layer
 // (width mismatches on hostile specs) surface as job failures, never as a
 // crashed worker.
-func (e *Engine) execute(j *job) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("campaign: attack panicked: %v", r)
-		}
-	}()
-
-	craft, err := e.craftModel(j.spec)
+func (e *Engine) execute(j *job) error {
+	sp := j.Data.spec // only this worker writes it, and only its Rows below
+	craft, err := e.craftModel(sp)
 	if err != nil {
 		return err
 	}
-	x, err := e.population(j.spec, craft.InDim())
+	x, err := e.population(sp, craft.InDim())
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	j.total = x.Rows
+	j.Lock()
+	j.Data.total = x.Rows
 	// The population matrix owns the rows now; dropping the submitted
 	// slices keeps a retained terminal job at snapshot size (explicit-rows
 	// specs can be tens of megabytes).
-	j.spec.Rows = nil
-	j.mu.Unlock()
+	j.Data.spec.Rows = nil
+	j.Unlock()
 
-	target, err := e.target(j.spec)
+	target, err := e.target(sp)
 	if err != nil {
 		return err
 	}
 
-	batch := j.spec.BatchSize
+	batch := sp.BatchSize
 	if batch <= 0 {
 		batch = e.opts.DefaultBatch
 	}
 	for start := 0; start < x.Rows; start += batch {
-		if err := j.ctx.Err(); err != nil {
+		if err := j.Ctx.Err(); err != nil {
 			return err
 		}
 		end := start + batch
@@ -492,7 +326,7 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 	n := end - start
 	bx := tensor.FromSlice(n, x.Cols, x.Data[start*x.Cols:end*x.Cols])
 
-	cfg := j.spec.Attack
+	cfg := j.Data.spec.Attack
 	if !cfg.BatchInvariant() {
 		// Seed-stream attacks are re-seeded per batch so every batch is
 		// reproducible in isolation (results then depend on BatchSize,
@@ -527,35 +361,37 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 			L2:               results[i].L2,
 			ModifiedFeatures: len(results[i].ModifiedFeatures),
 		}
-		if j.spec.KeepRows {
+		if j.Data.spec.KeepRows {
 			sr.Adversarial = append([]float64(nil), adv.Row(i)...)
 		}
 		batchResults[i] = sr
 	}
 
-	j.mu.Lock()
-	j.batches++
-	if !containsGen(j.generations, gen) {
-		j.generations = append(j.generations, gen)
+	j.Lock()
+	p := &j.Data
+	p.batches++
+	if !slices.Contains(p.generations, gen) {
+		p.generations = append(p.generations, gen)
 	}
 	for _, sr := range batchResults {
 		if sr.BaselineDetected {
-			j.detected++
+			p.detected++
 		}
 		if sr.Evaded {
-			j.evaded++
+			p.evaded++
 		}
 	}
-	j.results = append(j.results, batchResults...)
-	j.mu.Unlock()
+	p.results = append(p.results, batchResults...)
+	sink := p.sink
+	j.Unlock()
 
-	// Stream the batch durably outside j.mu: the fsync must not stall
+	// Stream the batch durably outside the lock: the fsync must not stall
 	// status polls. Only this job's worker calls the sink with samples,
 	// so batches arrive in judged order.
-	if j.sink != nil {
-		if err := j.sink.CampaignSamples(j.id, batchResults); err != nil {
+	if sink != nil {
+		if err := sink.CampaignSamples(j.ID, batchResults); err != nil {
 			e.log.Warn("results sink rejected batch",
-				slog.String("campaign", j.id), slog.String("error", err.Error()))
+				slog.String("campaign", j.ID), slog.String("error", err.Error()))
 		}
 	}
 	return nil
@@ -566,28 +402,29 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 func (e *Engine) judge(j *job, target Target, x *tensor.Matrix) ([]int, int64, error) {
 	var lastErr error
 	for attempt := 0; attempt <= e.opts.Retries; attempt++ {
-		if err := j.ctx.Err(); err != nil {
+		if err := j.Ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		labels, gen, err := target.LabelBatch(j.ctx, x)
+		labels, gen, err := target.LabelBatch(j.Ctx, x)
 		if err == nil {
 			if len(labels) != x.Rows {
 				return nil, 0, fmt.Errorf("campaign: target returned %d labels for %d rows", len(labels), x.Rows)
 			}
 			return labels, gen, nil
 		}
-		// A cancellation surfaced by the target is the job's own context
-		// ending, not a target blip worth a retry.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// A failure once the job's context has ended (a target may return
+		// its cause, such as jobs.ErrClosed) or a cancellation surfaced by
+		// the target is the job ending, not a target blip worth a retry.
+		if j.Ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, 0, err
 		}
 		lastErr = err
-		j.mu.Lock()
-		j.retries++
-		j.mu.Unlock()
+		j.Lock()
+		j.Data.retries++
+		j.Unlock()
 		select {
-		case <-j.ctx.Done():
-			return nil, 0, j.ctx.Err()
+		case <-j.Ctx.Done():
+			return nil, 0, j.Ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 10 * time.Millisecond):
 		}
 	}
@@ -678,71 +515,35 @@ func (e *Engine) target(spec Spec) (Target, error) {
 	return e.opts.LocalTarget, nil
 }
 
-func containsGen(gens []int64, g int64) bool {
-	for _, have := range gens {
-		if have == g {
-			return true
-		}
-	}
-	return false
-}
-
-// snapshotStatus reads the job status under its lock.
-func (j *job) snapshotStatus() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
-// markCancelledLocked finalizes a job that never ran. Callers hold j.mu.
-func (j *job) markCancelledLocked() {
-	if j.status.Terminal() {
-		return
-	}
-	j.status = StatusCancelled
-	j.errMsg = "cancelled"
-	j.finished = time.Now()
-}
-
-// snapshot copies the job state. offset windows the per-sample results when
-// includeResults is set; Spec.Rows is always elided (TotalSamples carries
-// the population size, and explicit rows can be megabytes).
-func (j *job) snapshot(offset int, includeResults bool) Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// snapshotLocked copies the job state. offset windows the per-sample
+// results when includeResults is set; Spec.Rows is always elided
+// (TotalSamples carries the population size, and explicit rows can be
+// megabytes). Callers hold j's lock.
+func snapshotLocked(j *job, offset int, includeResults bool) Snapshot {
+	p := &j.Data
 	s := Snapshot{
-		ID:          j.id,
-		Spec:        j.spec,
-		Status:      j.status,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		TotalSamples: func() int {
-			if j.total > 0 {
-				return j.total
-			}
-			return len(j.spec.Rows)
-		}(),
-		DoneSamples: len(j.results),
-		Batches:     j.batches,
-		Retries:     j.retries,
-		Generations: append([]int64(nil), j.generations...),
+		ID:           j.ID,
+		Spec:         p.spec,
+		Status:       j.State.Status,
+		Error:        j.State.Error,
+		SubmittedAt:  j.State.SubmittedAt,
+		StartedAt:    j.State.StartedAt,
+		FinishedAt:   j.State.FinishedAt,
+		TotalSamples: p.total,
+		DoneSamples:  len(p.results),
+		Batches:      p.batches,
+		Retries:      p.retries,
+		Generations:  append([]int64(nil), p.generations...),
 	}
 	s.Spec.Rows = nil
-	if n := len(j.results); n > 0 {
-		s.BaselineDetectionRate = float64(j.detected) / float64(n)
-		s.EvasionRate = float64(j.evaded) / float64(n)
+	if n := len(p.results); n > 0 {
+		s.BaselineDetectionRate = float64(p.detected) / float64(n)
+		s.EvasionRate = float64(p.evaded) / float64(n)
 	}
 	if includeResults {
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > len(j.results) {
-			offset = len(j.results)
-		}
+		offset = min(max(offset, 0), len(p.results))
 		s.ResultsOffset = offset
-		s.Results = append([]SampleResult(nil), j.results[offset:]...)
+		s.Results = append([]SampleResult(nil), p.results[offset:]...)
 	}
 	return s
 }

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -104,41 +103,15 @@ func (g *Gateway) namedTarget(model string) (campaign.Target, error) {
 }
 
 func (g *Gateway) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var spec campaign.Spec
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			wire.WriteError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", g.opts.MaxBodyBytes)
-			return
-		}
-		wire.WriteError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		wire.WriteError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !wire.DecodeJSON(w, r, g.opts.MaxBodyBytes, &spec, false) {
 		return
 	}
 	snap, err := g.campaigns.Submit(spec)
 	if err != nil {
-		// Mirror the daemon's submit taxonomy, plus relay any typed
-		// fleet refusal (the named-target factory's 404 unknown_model)
-		// verbatim.
-		status := http.StatusUnprocessableEntity
-		code := wire.CodeInvalidSpec
-		var we *wire.Error
-		switch {
-		case errors.As(err, &we):
-			status, code = we.Status, we.Code
-		case errors.Is(err, campaign.ErrQueueFull):
-			status, code = http.StatusTooManyRequests, wire.CodeQueueFull
-		case errors.Is(err, campaign.ErrClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
-		}
-		wire.WriteErrorCode(w, status, code, "%v", err)
+		// The daemon's submit taxonomy; a typed fleet refusal (the
+		// named-target factory's 404 unknown_model) is relayed verbatim.
+		wire.WriteSubmitError(w, err)
 		return
 	}
 	wire.WriteJSON(w, http.StatusAccepted, snap)

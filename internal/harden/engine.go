@@ -7,8 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"malevade/internal/campaign"
@@ -17,6 +15,7 @@ import (
 	"malevade/internal/detector"
 	"malevade/internal/experiments"
 	"malevade/internal/harden/spec"
+	"malevade/internal/jobs"
 	"malevade/internal/nn"
 	"malevade/internal/obs"
 	"malevade/internal/registry"
@@ -24,13 +23,15 @@ import (
 )
 
 // Campaigns is the slice of the campaign engine the controller drives: it
-// submits one evasion campaign per round, polls it to completion, and
+// submits one evasion campaign per round, waits for it to finish, and
 // cancels it when the job's own context ends. *campaign.Engine satisfies
 // it.
 type Campaigns interface {
 	// Submit enqueues a campaign.
 	Submit(sp campaign.Spec) (campaign.Snapshot, error)
-	// Get polls a campaign, windowing per-sample results from offset on.
+	// Wait blocks until a campaign is terminal or ctx ends.
+	Wait(ctx context.Context, id string) error
+	// Get reads a campaign, windowing per-sample results from offset on.
 	Get(id string, offset int) (campaign.Snapshot, bool)
 	// Cancel requests a campaign's cancellation.
 	Cancel(id string) (campaign.Snapshot, bool)
@@ -77,8 +78,6 @@ type Options struct {
 	// on disk (default 64). Oldest terminal jobs are evicted first; live
 	// jobs are never evicted.
 	MaxHistory int
-	// PollInterval is the campaign polling cadence (default 15ms).
-	PollInterval time.Duration
 	// Logger, when non-nil, receives a structured event per job
 	// transition and per completed round.
 	Logger *slog.Logger
@@ -105,62 +104,43 @@ func (o Options) withDefaults() Options {
 	if o.MaxHistory <= 0 {
 		o.MaxHistory = 64
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 15 * time.Millisecond
-	}
 	return o
 }
 
-// Submission and lookup errors an API layer maps to status codes.
+// Submission errors an API layer maps to status codes; aliases of the job
+// runner's, so every engine refuses with the same values.
 var (
 	// ErrQueueFull rejects a Submit when every worker is busy and the
 	// backlog is at QueueDepth.
-	ErrQueueFull = errors.New("harden: queue is full")
+	ErrQueueFull = jobs.ErrQueueFull
 	// ErrClosed rejects operations on a closed engine.
-	ErrClosed = errors.New("harden: engine is closed")
+	ErrClosed = jobs.ErrClosed
 )
 
-// headerOffset is the results offset used for progress polls: past any
-// plausible population, so snapshots come back without per-sample payloads.
-const headerOffset = 1 << 30
+// queueFullBackoff spaces a round's campaign submissions while the
+// campaign queue is full.
+const queueFullBackoff = 15 * time.Millisecond
 
-// job is one hardening job's mutable state. The engine's map owns the
-// pointer; snap and craftFile are guarded by mu so status polls, the runner
-// and the persister never race. userCancel distinguishes an operator's
-// cancel (terminal, persisted) from an engine shutdown (job stays
-// resumable on disk).
-type job struct {
-	id         string
-	ctx        context.Context
-	cancel     context.CancelFunc
-	userCancel atomic.Bool
-
-	mu        sync.Mutex
+// progress is one hardening job's own state, guarded by its job's lock:
+// the snapshot (whose lifecycle fields the runner's State overrides) and
+// the crafting-model file the job pinned.
+type progress struct {
 	snap      spec.Snapshot
 	craftFile string
 }
 
-// Engine is the hardening-job orchestrator: a bounded worker pool draining
-// a submission queue, every job addressable by id for polling and
+type job = jobs.Job[progress]
+
+// Engine is the hardening-job orchestrator: jobs run on the shared job
+// runner (internal/jobs), every job addressable by id for polling and
 // cancellation, and every job's state mirrored to disk so a restarted
 // engine resumes in-flight work. Create with NewEngine, Close when done;
 // all methods are safe for concurrent use.
 type Engine struct {
-	opts  Options
-	queue chan *job
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	closed bool
-	seq    int64
-
-	submitted atomic.Int64
-
-	log      *slog.Logger
-	jobsDone *obs.CounterVec // nil without Options.Obs
-	rounds   *obs.Histogram  // nil without Options.Obs
+	opts   Options
+	log    *slog.Logger
+	rounds *obs.Histogram // nil without Options.Obs
+	jobs   *jobs.Runner[progress, spec.Snapshot]
 }
 
 // NewEngine opens (or creates) the state directory, reloads every recorded
@@ -176,10 +156,33 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("harden: create state dir: %w", err)
 	}
-	e := &Engine{opts: opts.withDefaults(), jobs: make(map[string]*job)}
+	e := &Engine{opts: opts.withDefaults()}
 	e.log = obs.Or(e.opts.Logger)
+	cfg := jobs.Config[progress, spec.Snapshot]{
+		Kind:       "harden",
+		Workers:    e.opts.Workers,
+		QueueDepth: e.opts.QueueDepth,
+		MaxHistory: e.opts.MaxHistory,
+		Resumable:  true,
+		Execute:    e.execute,
+		Snapshot:   snapshotLocked,
+		Attrs: func(j *job) []any {
+			return []any{slog.String("model", j.Data.snap.Spec.Model),
+				slog.Int("rounds", len(j.Data.snap.Rounds)), slog.String("stop", j.Data.snap.StopReason)}
+		},
+		Finish: e.persist,
+		Evict: func(j *job) {
+			// Terminal jobs' crafting snapshots are already gone, except
+			// when that removal failed.
+			os.Remove(filepath.Join(e.opts.Dir, j.ID+".json"))
+			if cf := j.Data.craftFile; cf != "" {
+				os.Remove(filepath.Join(e.opts.Dir, cf))
+			}
+		},
+		Logger: e.opts.Logger,
+	}
 	if e.opts.Obs != nil {
-		e.jobsDone = e.opts.Obs.CounterVec("malevade_harden_jobs_total",
+		cfg.Terminal = e.opts.Obs.CounterVec("malevade_harden_jobs_total",
 			"Hardening jobs reaching a terminal status.", "status")
 		e.rounds = e.opts.Obs.Histogram("malevade_harden_round_seconds",
 			"Duration of each completed hardening round (campaign, harvest, retrain, promote), in seconds.",
@@ -190,45 +193,27 @@ func NewEngine(opts Options) (*Engine, error) {
 	for _, name := range skipped {
 		e.log.Warn("skipping unreadable harden state file", slog.String("file", name))
 	}
-	var resumed []*job
 	for _, st := range states {
-		if n, ok := seqOf(st.Snapshot.ID); ok && n > e.seq {
-			e.seq = n
+		snap := st.Snapshot
+		if n, ok := seqOf(snap.ID); ok && n > cfg.BaseSeq {
+			cfg.BaseSeq = n
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		j := &job{id: st.Snapshot.ID, ctx: ctx, cancel: cancel, craftFile: st.CraftFile}
-		j.snap = st.Snapshot
-		if st.Snapshot.Status.Terminal() {
-			cancel()
-		} else {
+		if !snap.Status.Terminal() {
 			// The daemon died (or closed) mid-job: requeue it from the
 			// recorded rounds. The in-flight campaign id was never
 			// persisted, so the interrupted round simply re-runs.
-			j.snap.Status = spec.StatusQueued
-			j.snap.Resumed = true
-			j.snap.CurrentCampaign = ""
-			resumed = append(resumed, j)
+			snap.Resumed = true
+			snap.CurrentCampaign = ""
+			e.log.Info("harden job resumed", slog.String("job", snap.ID), slog.Int("rounds", len(snap.Rounds)))
 		}
-		e.jobs[j.id] = j
-		e.order = append(e.order, j.id)
+		cfg.Restored = append(cfg.Restored, jobs.Restored[progress]{
+			ID:   snap.ID,
+			Data: progress{snap: snap, craftFile: st.CraftFile},
+			State: jobs.State{Status: snap.Status, Error: snap.Error,
+				SubmittedAt: snap.SubmittedAt, StartedAt: snap.StartedAt, FinishedAt: snap.FinishedAt},
+		})
 	}
-
-	e.queue = make(chan *job, e.opts.QueueDepth+len(resumed))
-	for _, j := range resumed {
-		e.queue <- j
-		e.log.Info("harden job resumed",
-			slog.String("job", j.id),
-			slog.Int("rounds", len(j.snap.Rounds)))
-	}
-	e.wg.Add(e.opts.Workers)
-	for i := 0; i < e.opts.Workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for j := range e.queue {
-				e.run(j)
-			}
-		}()
-	}
+	e.jobs = jobs.New(cfg)
 	return e, nil
 }
 
@@ -250,66 +235,16 @@ func (e *Engine) Submit(sp spec.Spec) (spec.Snapshot, error) {
 	if info.Live == 0 {
 		return spec.Snapshot{}, fmt.Errorf("%w: model %q has no live version to harden", registry.ErrVersionConflict, sp.Model)
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return spec.Snapshot{}, ErrClosed
-	}
-	e.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: fmt.Sprintf("h%06d", e.seq), ctx: ctx, cancel: cancel}
-	j.snap = spec.Snapshot{
-		ID:          j.id,
-		Spec:        sp,
-		Status:      spec.StatusQueued,
-		SubmittedAt: time.Now(),
-	}
-	select {
-	case e.queue <- j:
-	default:
-		e.seq--
-		e.mu.Unlock()
-		cancel()
-		return spec.Snapshot{}, ErrQueueFull
-	}
-	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
-	e.evictLocked()
-	e.mu.Unlock()
-	e.submitted.Add(1)
-	e.persist(j)
-	e.log.Info("harden job queued",
-		slog.String("job", j.id),
-		slog.String("model", sp.Model),
-		slog.Int("round_budget", sp.RoundBudget()))
-	return j.snapshot(), nil
+	// The first persist runs before any worker or Cancel can reach the
+	// job, so the job's state file only ever has one writer at a time.
+	return e.jobs.Submit(progress{snap: spec.Snapshot{Spec: sp}}, e.persist)
 }
 
 // Get returns a job snapshot, or false for an unknown id.
-func (e *Engine) Get(id string) (spec.Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return spec.Snapshot{}, false
-	}
-	return j.snapshot(), true
-}
+func (e *Engine) Get(id string) (spec.Snapshot, bool) { return e.jobs.Get(id) }
 
 // List returns job snapshots in submission order.
-func (e *Engine) List() []spec.Snapshot {
-	e.mu.Lock()
-	jobs := make([]*job, 0, len(e.order))
-	for _, id := range e.order {
-		jobs = append(jobs, e.jobs[id])
-	}
-	e.mu.Unlock()
-	out := make([]spec.Snapshot, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.snapshot())
-	}
-	return out
-}
+func (e *Engine) List() []spec.Snapshot { return e.jobs.List() }
 
 // Cancel requests cancellation and returns the resulting snapshot, or
 // false for an unknown id. A queued job is marked cancelled immediately; a
@@ -317,199 +252,63 @@ func (e *Engine) List() []spec.Snapshot {
 // retraining epoch) and converges to cancelled — poll Get for the terminal
 // state. Unlike an engine shutdown, an explicit Cancel is persisted: the
 // job will not resume on restart.
-func (e *Engine) Cancel(id string) (spec.Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return spec.Snapshot{}, false
-	}
-	j.userCancel.Store(true)
-	j.cancel()
-	j.mu.Lock()
-	wasQueued := j.snap.Status == spec.StatusQueued
-	if wasQueued {
-		j.markCancelledLocked()
-	}
-	j.mu.Unlock()
-	if wasQueued {
-		e.persist(j)
-	}
-	e.log.Info("harden cancel requested", slog.String("job", id))
-	return j.snapshot(), true
-}
+func (e *Engine) Cancel(id string) (spec.Snapshot, bool) { return e.jobs.Cancel(id) }
 
 // Submitted counts jobs accepted since the engine started (resumed jobs
 // excluded).
-func (e *Engine) Submitted() int64 { return e.submitted.Load() }
-
-// evictLocked drops the oldest terminal jobs beyond MaxHistory — from the
-// map and from disk, so the state directory stays bounded too. Live jobs
-// are never evicted. Callers hold e.mu.
-func (e *Engine) evictLocked() {
-	if len(e.order) <= e.opts.MaxHistory {
-		return
-	}
-	kept := e.order[:0]
-	excess := len(e.order) - e.opts.MaxHistory
-	for _, id := range e.order {
-		j := e.jobs[id]
-		j.mu.Lock()
-		terminal := j.snap.Status.Terminal()
-		cf := j.craftFile
-		j.mu.Unlock()
-		if excess > 0 && terminal {
-			delete(e.jobs, id)
-			os.Remove(filepath.Join(e.opts.Dir, id+".json"))
-			if cf != "" {
-				os.Remove(filepath.Join(e.opts.Dir, cf))
-			}
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	e.order = kept
-}
+func (e *Engine) Submitted() int64 { return e.jobs.Submitted() }
 
 // Close cancels every job, stops the workers and waits for them. In-flight
 // jobs keep their last persisted state on disk — a reopened engine resumes
 // them — which is exactly how a daemon shutdown differs from an operator's
 // Cancel. Idempotent; subsequent Submits fail with ErrClosed while
 // Get/List keep answering from the final in-memory snapshots.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	jobs := make([]*job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
-	e.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-	close(e.queue)
-	e.wg.Wait()
-}
+func (e *Engine) Close() { e.jobs.Close() }
 
 // persist mirrors the job's current state to disk. Persistence failures
 // are logged, not fatal: the job keeps running, it just loses restart
 // coverage from this point.
 func (e *Engine) persist(j *job) {
-	j.mu.Lock()
-	st := state{Format: stateFormat, Snapshot: cloneSnapshot(j.snap), CraftFile: j.craftFile}
-	j.mu.Unlock()
+	j.Lock()
+	st := state{Format: stateFormat, Snapshot: snapshotLocked(j), CraftFile: j.Data.craftFile}
+	j.Unlock()
 	// The in-flight campaign never survives a restart; resumed jobs re-run
 	// the interrupted round from scratch.
 	st.Snapshot.CurrentCampaign = ""
 	if err := writeState(e.opts.Dir, st); err != nil {
 		e.log.Error("harden state persist failed",
-			slog.String("job", j.id), slog.String("error", err.Error()))
+			slog.String("job", j.ID), slog.String("error", err.Error()))
 	}
 }
 
-// run executes one job on a worker goroutine.
-func (e *Engine) run(j *job) {
-	j.mu.Lock()
-	if j.ctx.Err() != nil || j.snap.Status != spec.StatusQueued {
-		// Cancelled while queued (or Close raced the queue drain): never
-		// start. Only an operator cancel persists; a shutdown leaves the
-		// on-disk state queued so the job resumes next boot.
-		j.markCancelledLocked()
-		j.mu.Unlock()
-		if j.userCancel.Load() {
-			e.persist(j)
-		}
-		return
-	}
-	j.snap.Status = spec.StatusRunning
-	if j.snap.StartedAt.IsZero() {
-		j.snap.StartedAt = time.Now()
-	}
-	j.mu.Unlock()
-	e.persist(j)
-	e.log.Info("harden job running", slog.String("job", j.id))
-
-	err := e.execute(j)
-
-	var status spec.Status
-	errMsg := ""
-	switch {
-	case err == nil:
-		status = spec.StatusDone
-	case errors.Is(err, context.Canceled):
-		status = spec.StatusCancelled
-		errMsg = "cancelled"
-	default:
-		status = spec.StatusFailed
-		errMsg = err.Error()
-	}
-
-	if status == spec.StatusCancelled && !j.userCancel.Load() {
-		// Engine shutdown: publish the interruption in memory only and
-		// leave the durable state as-is so the job resumes on the next
-		// boot (the crafting snapshot stays for the resumed run).
-		j.mu.Lock()
-		j.snap.Status = status
-		j.snap.Error = errMsg
-		j.snap.FinishedAt = time.Now()
-		j.snap.CurrentCampaign = ""
-		rounds := len(j.snap.Rounds)
-		j.mu.Unlock()
-		e.log.Warn("harden job interrupted (resumable)",
-			slog.String("job", j.id), slog.Int("rounds", rounds))
-		return
-	}
-
-	// Delete the crafting snapshot while the job still reads as running:
-	// once the status goes terminal any observer may check that the file
-	// is gone, so the removal must happen first. The state file itself
-	// stays — job history survives restarts.
-	j.mu.Lock()
-	cf := j.craftFile
-	j.craftFile = ""
-	j.mu.Unlock()
-	if cf != "" {
-		os.Remove(filepath.Join(e.opts.Dir, cf))
-	}
-
-	j.mu.Lock()
-	j.snap.Status = status
-	if errMsg != "" {
-		j.snap.Error = errMsg
-	}
-	j.snap.FinishedAt = time.Now()
-	j.snap.CurrentCampaign = ""
-	reason := j.snap.StopReason
-	rounds := len(j.snap.Rounds)
-	j.mu.Unlock()
-	e.persist(j)
-	if e.jobsDone != nil {
-		e.jobsDone.With(string(status)).Inc()
-	}
-	e.log.Info("harden job finished",
-		slog.String("job", j.id),
-		slog.String("status", string(status)),
-		slog.Int("rounds", rounds),
-		slog.String("stop", reason))
-}
-
-// execute runs the hardening loop. Panics from the attack or training
-// layers surface as job failures, never as a crashed worker.
+// execute runs one job on a worker: it records the job as running, runs
+// the hardening loop, and deletes the crafting snapshot before the runner
+// publishes the terminal status — once the status reads terminal any
+// observer may check that the file is gone. A job interrupted by engine
+// shutdown keeps its snapshot (and, as the runner skips its final persist,
+// its "running" state file) for the resumed run. The state file itself
+// stays: job history survives restarts.
 func (e *Engine) execute(j *job) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("harden: round panicked: %v", r)
+		if err != nil && j.Interrupted() {
+			return
+		}
+		j.Lock()
+		cf := j.Data.craftFile
+		j.Data.craftFile = ""
+		j.Unlock()
+		if cf != "" {
+			os.Remove(filepath.Join(e.opts.Dir, cf))
 		}
 	}()
+	e.persist(j)
+	return e.harden(j)
+}
 
-	j.mu.Lock()
-	sp := j.snap.Spec
-	j.mu.Unlock()
+// harden runs the attack → harvest → retrain → promote loop until the
+// round budget, the target rate, or a campaign with nothing to harvest.
+func (e *Engine) harden(j *job) error {
+	sp := j.Data.snap.Spec // immutable after Submit
 	p, err := experiments.ProfileByName(sp.Profile)
 	if err != nil {
 		return err
@@ -525,7 +324,7 @@ func (e *Engine) execute(j *job) (err error) {
 	var base *dataset.Dataset
 
 	for {
-		if err := j.ctx.Err(); err != nil {
+		if err := j.Ctx.Err(); err != nil {
 			return err
 		}
 		camp, err := e.runCampaign(j, sp, craftPath)
@@ -534,20 +333,20 @@ func (e *Engine) execute(j *job) (err error) {
 		}
 		rate := camp.EvasionRate
 
-		j.mu.Lock()
-		done := len(j.snap.Rounds)
-		if done > 0 && j.snap.Rounds[done-1].ReattackID == "" {
+		j.Lock()
+		done := len(j.Data.snap.Rounds)
+		if done > 0 && j.Data.snap.Rounds[done-1].ReattackID == "" {
 			// This campaign doubles as the previous round's re-attack:
 			// its rate measures the hardened model.
-			j.snap.Rounds[done-1].EvasionAfter = rate
-			j.snap.Rounds[done-1].ReattackID = camp.ID
+			j.Data.snap.Rounds[done-1].EvasionAfter = rate
+			j.Data.snap.Rounds[done-1].ReattackID = camp.ID
 		}
-		j.snap.Campaigns++
-		j.snap.EvasionRate = rate
-		j.mu.Unlock()
+		j.Data.snap.Campaigns++
+		j.Data.snap.EvasionRate = rate
+		j.Unlock()
 		e.persist(j)
 		e.log.Info("harden campaign judged",
-			slog.String("job", j.id),
+			slog.String("job", j.ID),
 			slog.String("campaign", camp.ID),
 			slog.Float64("evasion_rate", rate))
 
@@ -578,7 +377,7 @@ func (e *Engine) execute(j *job) (err error) {
 			return err
 		}
 		cfg := RoundTrainConfig(sp, p, round)
-		cfg.OnEpoch = func(int, float64) error { return j.ctx.Err() }
+		cfg.OnEpoch = func(int, float64) error { return j.Ctx.Err() }
 		hardened, err := defense.AdversarialTraining(sets, cfg)
 		if err != nil {
 			return err
@@ -602,31 +401,31 @@ func (e *Engine) execute(j *job) (err error) {
 			StartedAt:         camp.StartedAt,
 			FinishedAt:        time.Now(),
 		}
-		j.mu.Lock()
-		j.snap.Rounds = append(j.snap.Rounds, rec)
-		j.snap.Versions = append(j.snap.Versions, info.Live)
-		j.mu.Unlock()
+		j.Lock()
+		j.Data.snap.Rounds = append(j.Data.snap.Rounds, rec)
+		j.Data.snap.Versions = append(j.Data.snap.Versions, info.Live)
+		j.Unlock()
 		e.persist(j)
 		if e.rounds != nil {
 			e.rounds.Observe(rec.FinishedAt.Sub(rec.StartedAt).Seconds())
 		}
 		e.log.Info("harden round complete",
-			slog.String("job", j.id),
+			slog.String("job", j.ID),
 			slog.Int("round", round),
 			slog.Int("rows_harvested", rec.RowsHarvested),
 			slog.Int("version", rec.Version),
 			slog.Int64("generation", rec.Generation))
 		if e.opts.roundHook != nil {
-			e.opts.roundHook(j.id, round)
+			e.opts.roundHook(j.ID, round)
 		}
 	}
 }
 
 // stop records why a job finished successfully.
 func (e *Engine) stop(j *job, reason string) {
-	j.mu.Lock()
-	j.snap.StopReason = reason
-	j.mu.Unlock()
+	j.Lock()
+	j.Data.snap.StopReason = reason
+	j.Unlock()
 }
 
 // ensureCraftModel resolves the fixed crafting model the job attacks with
@@ -637,9 +436,9 @@ func (e *Engine) ensureCraftModel(j *job, sp spec.Spec) (string, error) {
 	if sp.CraftModelPath != "" {
 		return sp.CraftModelPath, nil
 	}
-	j.mu.Lock()
-	cf := j.craftFile
-	j.mu.Unlock()
+	j.Lock()
+	cf := j.Data.craftFile
+	j.Unlock()
 	if cf != "" {
 		path := filepath.Join(e.opts.Dir, cf)
 		if _, err := os.Stat(path); err == nil {
@@ -650,99 +449,68 @@ func (e *Engine) ensureCraftModel(j *job, sp spec.Spec) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("harden: snapshot crafting model: %w", err)
 	}
-	name := j.id + "-craft.gob"
+	name := j.ID + "-craft.gob"
 	path := filepath.Join(e.opts.Dir, name)
 	if err := net.SaveFile(path); err != nil {
 		return "", fmt.Errorf("harden: save crafting snapshot: %w", err)
 	}
-	j.mu.Lock()
-	j.craftFile = name
-	j.mu.Unlock()
+	j.Lock()
+	j.Data.craftFile = name
+	j.Unlock()
 	e.persist(j)
 	return path, nil
 }
 
-// runCampaign submits one round's evasion campaign and polls it to
-// completion, returning the full terminal snapshot (per-sample results
-// included). On job cancellation it cancels the campaign and waits for the
-// campaign workers to actually release before returning, so a cancelled
-// hardening job never leaves a campaign running behind it.
+// runCampaign submits one round's evasion campaign and waits for it,
+// returning the full terminal snapshot (per-sample results included). On
+// job cancellation it cancels the campaign and waits for it to release its
+// worker before returning, so a cancelled hardening job never leaves a
+// campaign running behind it.
 func (e *Engine) runCampaign(j *job, sp spec.Spec, craftPath string) (campaign.Snapshot, error) {
 	cs := sp.CampaignSpec(craftPath)
-	j.mu.Lock()
-	round := len(j.snap.Rounds) + 1
-	j.mu.Unlock()
-	cs.Name = fmt.Sprintf("harden %s round %d", j.id, round)
+	j.Lock()
+	round := len(j.Data.snap.Rounds) + 1
+	j.Unlock()
+	cs.Name = fmt.Sprintf("harden %s round %d", j.ID, round)
 
-	var camp campaign.Snapshot
-	for {
-		var err error
-		camp, err = e.opts.Campaigns.Submit(cs)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, campaign.ErrQueueFull) {
-			return campaign.Snapshot{}, err
-		}
+	camp, err := e.opts.Campaigns.Submit(cs)
+	for errors.Is(err, campaign.ErrQueueFull) {
 		select {
-		case <-j.ctx.Done():
-			return campaign.Snapshot{}, j.ctx.Err()
-		case <-time.After(e.opts.PollInterval):
+		case <-j.Ctx.Done():
+			return campaign.Snapshot{}, j.Ctx.Err()
+		case <-time.After(queueFullBackoff):
 		}
+		camp, err = e.opts.Campaigns.Submit(cs)
 	}
-	j.mu.Lock()
-	j.snap.CurrentCampaign = camp.ID
-	j.mu.Unlock()
+	if err != nil {
+		return campaign.Snapshot{}, err
+	}
+	j.Lock()
+	j.Data.snap.CurrentCampaign = camp.ID
+	j.Unlock()
 	defer func() {
-		j.mu.Lock()
-		j.snap.CurrentCampaign = ""
-		j.mu.Unlock()
+		j.Lock()
+		j.Data.snap.CurrentCampaign = ""
+		j.Unlock()
 	}()
 
-	for {
-		select {
-		case <-j.ctx.Done():
-			e.opts.Campaigns.Cancel(camp.ID)
-			e.awaitCampaignTerminal(camp.ID)
-			return campaign.Snapshot{}, j.ctx.Err()
-		case <-time.After(e.opts.PollInterval):
-		}
-		cur, ok := e.opts.Campaigns.Get(camp.ID, headerOffset)
-		if !ok {
-			return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s evicted mid-round", camp.ID)
-		}
-		if !cur.Status.Terminal() {
-			continue
-		}
-		switch cur.Status {
-		case campaign.StatusDone:
-			full, ok := e.opts.Campaigns.Get(camp.ID, 0)
-			if !ok {
-				return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s evicted mid-round", camp.ID)
-			}
-			return full, nil
-		case campaign.StatusCancelled:
-			if err := j.ctx.Err(); err != nil {
-				return campaign.Snapshot{}, err
-			}
-			return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s was cancelled externally", camp.ID)
-		default:
-			return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s failed: %s", camp.ID, cur.Error)
-		}
+	if err := e.opts.Campaigns.Wait(j.Ctx, camp.ID); err != nil && j.Ctx.Err() != nil {
+		e.opts.Campaigns.Cancel(camp.ID)
+		// A cancelled campaign stops at its next batch boundary; Wait
+		// cannot fail on a known id without a context to end it.
+		_ = e.opts.Campaigns.Wait(context.WithoutCancel(j.Ctx), camp.ID)
+		return campaign.Snapshot{}, j.Ctx.Err()
 	}
-}
-
-// awaitCampaignTerminal bounds the wait for a cancelled round-campaign to
-// actually stop, so cancellation observably releases campaign workers
-// before the hardening job reports terminal.
-func (e *Engine) awaitCampaignTerminal(id string) {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		cur, ok := e.opts.Campaigns.Get(id, headerOffset)
-		if !ok || cur.Status.Terminal() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	full, ok := e.opts.Campaigns.Get(camp.ID, 0)
+	switch {
+	case !ok:
+		return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s evicted mid-round", camp.ID)
+	case full.Status == campaign.StatusDone:
+		return full, nil
+	case full.Status == campaign.StatusCancelled:
+		return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s was cancelled externally", camp.ID)
+	default:
+		return campaign.Snapshot{}, fmt.Errorf("harden: campaign %s failed: %s", camp.ID, full.Error)
 	}
 }
 
@@ -751,7 +519,7 @@ func (e *Engine) awaitCampaignTerminal(id string) {
 // (unpinned history dropped) and retried once — hardening churns versions
 // by design, and the round metrics preserve what the history loses.
 func (e *Engine) registerPromote(j *job, model string, net *nn.Network) (registry.Info, error) {
-	tmp := filepath.Join(e.opts.Dir, j.id+"-retrain.gob")
+	tmp := filepath.Join(e.opts.Dir, j.ID+"-retrain.gob")
 	if err := net.SaveFile(tmp); err != nil {
 		return registry.Info{}, fmt.Errorf("harden: save hardened model: %w", err)
 	}
@@ -769,21 +537,14 @@ func (e *Engine) registerPromote(j *job, model string, net *nn.Network) (registr
 	return info, nil
 }
 
-// markCancelledLocked finalizes a job that never ran. Callers hold j.mu.
-func (j *job) markCancelledLocked() {
-	if j.snap.Status.Terminal() {
-		return
-	}
-	j.snap.Status = spec.StatusCancelled
-	j.snap.Error = "cancelled"
-	j.snap.FinishedAt = time.Now()
-}
-
-// snapshot copies the job state for a reader.
-func (j *job) snapshot() spec.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return cloneSnapshot(j.snap)
+// snapshotLocked copies the job state for a reader, the runner's
+// lifecycle over the job's own snapshot. Callers hold j's lock.
+func snapshotLocked(j *job) spec.Snapshot {
+	s := cloneSnapshot(j.Data.snap)
+	s.ID = j.ID
+	s.Status, s.Error = j.State.Status, j.State.Error
+	s.SubmittedAt, s.StartedAt, s.FinishedAt = j.State.SubmittedAt, j.State.StartedAt, j.State.FinishedAt
+	return s
 }
 
 // cloneSnapshot deep-copies a snapshot so readers never share slices with

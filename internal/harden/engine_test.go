@@ -1,6 +1,7 @@
 package harden
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -119,6 +120,20 @@ func (f *fakeCampaigns) doneLocked(snap campaign.Snapshot, c *fakeCamp, offset i
 	return snap
 }
 
+// Wait polls the fake until the campaign reads terminal (or is unknown).
+func (f *fakeCampaigns) Wait(ctx context.Context, id string) error {
+	for {
+		if snap, ok := f.Get(id, 1<<30); !ok || snap.Status.Terminal() {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 func (f *fakeCampaigns) Cancel(id string) (campaign.Snapshot, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -206,7 +221,7 @@ func validSpec() Spec {
 
 func newTestEngine(t testing.TB, dir string, c Campaigns, m Models, mutate func(*Options)) *Engine {
 	t.Helper()
-	opts := Options{Dir: dir, Campaigns: c, Models: m, PollInterval: time.Millisecond}
+	opts := Options{Dir: dir, Campaigns: c, Models: m}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -386,6 +401,26 @@ func TestHardenSubmitErrors(t *testing.T) {
 		t.Errorf("submit after close: err %v, want ErrClosed", err)
 	}
 	assertNoGoroutineLeak(t, baseline)
+}
+
+// TestHardenSubmitSnapshotQueued: the snapshot Submit returns is always
+// queued, even when the job runs to its terminal state before Submit
+// returns (campaigns with nothing to harvest end a job at once).
+func TestHardenSubmitSnapshotQueued(t *testing.T) {
+	e := newTestEngine(t, t.TempDir(), newFakeCampaigns([]float64{0}, nil), &fakeModels{live: 1}, func(o *Options) {
+		o.QueueDepth = 256
+		o.MaxHistory = 256
+	})
+	defer e.Close()
+	for i := 0; i < 200; i++ {
+		snap, err := e.Submit(validSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Status != spec.StatusQueued {
+			t.Fatalf("submit %d returned a %s snapshot, want queued", i, snap.Status)
+		}
+	}
 }
 
 // TestHardenStateRoundtrip covers the durable-state layer directly: atomic

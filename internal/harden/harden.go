@@ -6,8 +6,8 @@
 // to measure the per-round evasion-rate drop — until a target rate or the
 // round budget.
 //
-// The controller runs jobs on a bounded worker pool, like the campaign
-// engine it drives, with one addition: every job persists its snapshot (and
+// The controller runs jobs on the job runner (internal/jobs) the campaign
+// engine it drives also uses, with one addition: every job persists its snapshot (and
 // the crafting-model snapshot it attacks with) under a state directory next
 // to the registry, so a restarted daemon resumes an in-flight job at its
 // last recorded round instead of losing it. Crafting is pinned to the

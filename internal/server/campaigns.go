@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -113,47 +112,32 @@ func (s *Server) craftModel() (*nn.Network, error) {
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var spec campaign.Spec
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.opts.MaxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !wire.DecodeJSON(w, r, s.opts.MaxBodyBytes, &spec, false) {
 		return
 	}
 	snap, err := s.campaigns.Submit(spec)
 	if err != nil {
-		// Spec problems are the client's (422 invalid_spec);
-		// backpressure is 429 queue_full; a closed engine means the
-		// daemon is going away (503 unavailable); a target_model the
-		// registry does not hold (or holds with nothing live) takes the
-		// registry's own taxonomy members.
-		status := http.StatusUnprocessableEntity
-		code := wire.CodeInvalidSpec
-		switch {
-		case errors.Is(err, campaign.ErrQueueFull):
-			status, code = http.StatusTooManyRequests, wire.CodeQueueFull
-		case errors.Is(err, campaign.ErrClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
-		case errors.Is(err, registry.ErrUnknownModel):
-			status, code = http.StatusNotFound, wire.CodeUnknownModel
-		case errors.Is(err, registry.ErrVersionConflict):
-			status, code = http.StatusConflict, wire.CodeVersionConflict
-		}
-		writeErrorCode(w, status, code, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, snap)
+}
+
+// writeSubmitError answers a refused campaign, hardening or mining
+// submission: a model the registry does not hold (or holds with nothing
+// live) takes the registry's own taxonomy members, and everything else the
+// shared job-submission mapping (422 invalid_spec, 429 queue_full, 503
+// unavailable).
+func writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, registry.ErrUnknownModel):
+		writeErrorCode(w, http.StatusNotFound, wire.CodeUnknownModel, "%v", err)
+	case errors.Is(err, registry.ErrVersionConflict):
+		writeErrorCode(w, http.StatusConflict, wire.CodeVersionConflict, "%v", err)
+	default:
+		wire.WriteSubmitError(w, err)
+	}
 }
 
 // CampaignList answers GET /v1/campaigns.

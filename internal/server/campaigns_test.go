@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"malevade/internal/attack"
 	"malevade/internal/campaign"
 	"malevade/internal/rng"
+	"malevade/internal/tensor"
 )
 
 // submitCampaign posts a spec and decodes the accepted snapshot.
@@ -218,6 +221,38 @@ func TestCampaignWhiteBoxDefault(t *testing.T) {
 	}
 }
 
+// reloadGate judges campaign batches through the daemon's own target, but
+// holds every batch after the first until a reload has replaced the
+// generation that judged it — so the hammer below sees at least two
+// generations however fast the campaigns run on a loaded host.
+type reloadGate struct {
+	s     *Server
+	mu    sync.Mutex
+	first int64 // generation of the first judged batch; 0 before it
+}
+
+func (g *reloadGate) LabelBatch(ctx context.Context, x *tensor.Matrix) ([]int, int64, error) {
+	g.mu.Lock()
+	first := g.first
+	g.mu.Unlock()
+	for first != 0 && g.s.ModelVersion() == first {
+		select {
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	labels, gen, err := serverTarget{g.s}.LabelBatch(ctx, x)
+	if err == nil {
+		g.mu.Lock()
+		if g.first == 0 {
+			g.first = gen
+		}
+		g.mu.Unlock()
+	}
+	return labels, gen, err
+}
+
 // TestCampaignReloadHammer is the hot-reload acceptance test for the
 // campaign layer: campaigns run to completion while the model is hot-swapped
 // as fast as the server allows, with zero dropped (failed) campaigns and
@@ -231,11 +266,13 @@ func TestCampaignReloadHammer(t *testing.T) {
 	pathA, _ := saveTestNet(t, dir, "a.gob", dims, 1)
 	pathB, _ := saveTestNet(t, dir, "b.gob", dims, 2)
 
-	s, err := New(Options{ModelPath: pathA, Campaigns: campaign.Options{Workers: 3}})
+	gate := &reloadGate{}
+	s, err := New(Options{ModelPath: pathA, Campaigns: campaign.Options{Workers: 3, LocalTarget: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	gate.s = s
 
 	const rows = 240
 	const batchSize = 2

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"malevade/internal/harden"
-	"malevade/internal/registry"
 	"malevade/internal/wire"
 )
 
@@ -40,44 +37,13 @@ func (s *Server) handleHardenSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.requireHarden(w) {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var spec harden.Spec
-	if err := dec.Decode(&spec); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.opts.MaxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !wire.DecodeJSON(w, r, s.opts.MaxBodyBytes, &spec, false) {
 		return
 	}
 	snap, err := s.harden.Submit(spec)
 	if err != nil {
-		// The campaign taxonomy, reused verbatim: spec problems are the
-		// client's (422 invalid_spec), backpressure is 429 queue_full, a
-		// closed controller means the daemon is going away (503
-		// unavailable), and a model the registry does not hold (or holds
-		// with nothing live) takes the registry's own taxonomy members.
-		status := http.StatusUnprocessableEntity
-		code := wire.CodeInvalidSpec
-		switch {
-		case errors.Is(err, harden.ErrQueueFull):
-			status, code = http.StatusTooManyRequests, wire.CodeQueueFull
-		case errors.Is(err, harden.ErrClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
-		case errors.Is(err, registry.ErrUnknownModel):
-			status, code = http.StatusNotFound, wire.CodeUnknownModel
-		case errors.Is(err, registry.ErrVersionConflict):
-			status, code = http.StatusConflict, wire.CodeVersionConflict
-		}
-		writeErrorCode(w, status, code, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, snap)

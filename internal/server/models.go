@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -106,28 +105,6 @@ func (s *Server) requireRegistry(w http.ResponseWriter) *registry.Registry {
 	return s.registry
 }
 
-// decodeModelBody strictly decodes a small JSON body for the models API.
-func decodeModelBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	const maxBody = 1 << 20
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", int64(maxBody))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleModelList(w http.ResponseWriter, r *http.Request) {
 	if s.registry == nil {
 		// A registry-less daemon lists an empty registry rather than
@@ -144,7 +121,7 @@ func (s *Server) handleModelRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterModelRequest
-	if !decodeModelBody(w, r, &req) {
+	if !wire.DecodeJSON(w, r, 1<<20, &req, false) {
 		return
 	}
 	info, err := reg.Register(registry.RegisterRequest{
@@ -180,7 +157,7 @@ func (s *Server) handleModelAction(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ModelActionRequest
-	if !decodeModelBody(w, r, &req) {
+	if !wire.DecodeJSON(w, r, 1<<20, &req, false) {
 		return
 	}
 	name := r.PathValue("name")

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -312,16 +310,8 @@ func (s *Server) handleResultsReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req ReplayRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !wire.DecodeJSON(w, r, 1<<20, &req, false) {
 		return
 	}
 	if req.Index < 0 || req.Version < 0 {
@@ -411,33 +401,13 @@ func (s *Server) handleMineSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// An entirely empty body sweeps with the defaults; anything present
 	// must be a valid spec.
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var spec store.MineSpec
-	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	} else if err == nil && dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !wire.DecodeJSON(w, r, s.opts.MaxBodyBytes, &spec, true) {
 		return
 	}
-	id, err := s.miner.Submit(spec)
+	snap, err := s.miner.Submit(spec)
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		code := wire.CodeInvalidSpec
-		switch {
-		case errors.Is(err, store.ErrMineQueueFull):
-			status, code = http.StatusTooManyRequests, wire.CodeQueueFull
-		case errors.Is(err, store.ErrMinerClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
-		}
-		writeErrorCode(w, status, code, "%v", err)
-		return
-	}
-	snap, err := s.miner.Get(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, snap)

@@ -1115,11 +1115,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// An entirely empty body means "reload the configured path"; anything
 	// present must be valid JSON.
 	var req ReloadRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if !wire.DecodeJSON(w, r, 1<<20, &req, true) {
 		return
 	}
 	m, err := s.reload(req.Path)

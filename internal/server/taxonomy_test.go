@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"malevade/internal/client"
 	"malevade/internal/defense"
 	"malevade/internal/detector"
+	"malevade/internal/store"
 	"malevade/internal/tensor"
 	"malevade/internal/wire"
 )
@@ -208,6 +210,28 @@ func TestScoringRefusalTaxonomy(t *testing.T) {
 	c.Retries = -1
 	_, err = c.Label(ctx, tensor.New(1, 3))
 	wantWireError(t, err, http.StatusServiceUnavailable, wire.ErrUnavailable)
+}
+
+// TestMineRefusalTaxonomy: the mining endpoint decodes like every other
+// submit endpoint — a body past MaxBodyBytes is 413 too_large, not 400 —
+// while an empty body still sweeps with the defaults.
+func TestMineRefusalTaxonomy(t *testing.T) {
+	path, _ := saveTestNet(t, t.TempDir(), "model.gob", []int{3, 8, 2}, 7)
+	s, err := New(Options{ModelPath: path, RegistryDir: t.TempDir(), MaxBodyBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := client.New(ts.URL)
+
+	_, err = c.SubmitMine(context.Background(), store.MineSpec{Name: strings.Repeat("x", 1024)})
+	wantWireError(t, err, http.StatusRequestEntityTooLarge, wire.ErrTooLarge)
+
+	if w := postJSON(t, s, "/v1/mine", ""); w.Code != http.StatusAccepted {
+		t.Fatalf("empty mine body: status %d (%s), want 202", w.Code, w.Body.String())
+	}
 }
 
 // TestServedDefenses: a daemon with ServerOptions.Defenses serves the

@@ -45,11 +45,11 @@ func TestMinedRowsFeedAdversarialTraining(t *testing.T) {
 
 	m := NewMiner(s, MinerOptions{})
 	defer m.Close()
-	id, err := m.Submit(MineSpec{Name: "harvest"})
+	sub, err := m.Submit(MineSpec{Name: "harvest"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := waitMine(t, m, id)
+	snap := waitMine(t, m, sub.ID)
 	if snap.Status != spec.StatusDone || len(snap.Findings) != nPlanted {
 		t.Fatalf("sweep %s: %d findings, want %d", snap.Status, len(snap.Findings), nPlanted)
 	}

@@ -1,30 +1,28 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"malevade/internal/campaign/spec"
-	"malevade/internal/obs"
+	"malevade/internal/jobs"
 	"malevade/internal/tensor"
 )
 
-// Miner lifecycle errors, mirroring the campaign engine's shape so the
-// server maps them onto the same HTTP statuses.
+// Miner lifecycle errors: aliases of the job runner's, so the server maps
+// them onto the same HTTP statuses as the campaign and hardening engines.
 var (
 	// ErrMineQueueFull rejects a submit when the job queue is at capacity.
-	ErrMineQueueFull = errors.New("store: mine queue full")
+	ErrMineQueueFull = jobs.ErrQueueFull
 	// ErrMinerClosed rejects operations after Close.
-	ErrMinerClosed = errors.New("store: miner closed")
-	// ErrUnknownMineJob marks a lookup for a mine job id the miner has
-	// never assigned.
-	ErrUnknownMineJob = errors.New("store: unknown mine job")
+	ErrMinerClosed = jobs.ErrClosed
+	// ErrUnknownMineJob marks a lookup for a mine job id the miner does
+	// not hold.
+	ErrUnknownMineJob = jobs.ErrUnknown
 )
 
 // MineSpec parameterizes one traffic sweep.
@@ -155,53 +153,46 @@ func (o MinerOptions) withDefaults() MinerOptions {
 	return o
 }
 
-// mineJob is one queued/running/terminal sweep.
-type mineJob struct {
-	mu   sync.Mutex
-	snap MineSnapshot
-	stop chan struct{} // closed by Cancel
+// sweep is one mine job's own state, guarded by its job's lock.
+type sweep struct {
+	spec     MineSpec
+	swept    int
+	findings []Finding
 }
 
-// Miner runs queued traffic sweeps against a Store — the campaign/harden
-// worker-pool shape applied to historical attack mining.
+type mineJob = jobs.Job[sweep]
+
+// Miner runs queued traffic sweeps against a Store on the job runner
+// (internal/jobs) the campaign and hardening engines share.
 type Miner struct {
 	store *Store
 	opts  MinerOptions
-
-	log *slog.Logger
-
-	mu     sync.Mutex
-	seq    int64
-	jobs   map[string]*mineJob
-	order  []string
-	queue  chan *mineJob
-	closed bool
-	wg     sync.WaitGroup
-
-	submitted int64
+	jobs  *jobs.Runner[sweep, MineSnapshot]
 }
 
 // NewMiner starts a miner over st with opts.Workers sweep workers.
 func NewMiner(st *Store, opts MinerOptions) *Miner {
-	opts = opts.withDefaults()
-	m := &Miner{
-		store: st,
-		opts:  opts,
-		log:   obs.Or(opts.Logger),
-		jobs:  make(map[string]*mineJob),
-		queue: make(chan *mineJob, opts.QueueDepth),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
-	}
+	m := &Miner{store: st, opts: opts.withDefaults()}
+	m.jobs = jobs.New(jobs.Config[sweep, MineSnapshot]{
+		Kind:       "mine",
+		Workers:    m.opts.Workers,
+		QueueDepth: m.opts.QueueDepth,
+		MaxHistory: m.opts.MaxHistory,
+		Execute:    m.execute,
+		Snapshot:   func(j *mineJob) MineSnapshot { return mineSnapshotLocked(j, false) },
+		Attrs: func(j *mineJob) []any {
+			return []any{slog.String("model", j.Data.spec.Model), slog.Float64("band", j.Data.spec.Band),
+				slog.Int("swept", j.Data.swept), slog.Int("findings", len(j.Data.findings))}
+		},
+		Logger: m.opts.Logger,
+	})
 	return m
 }
 
-// Submit validates and enqueues one sweep, returning its job id.
-func (m *Miner) Submit(sp MineSpec) (string, error) {
+// Submit validates and enqueues one sweep, returning its queued snapshot.
+func (m *Miner) Submit(sp MineSpec) (MineSnapshot, error) {
 	if err := sp.Validate(); err != nil {
-		return "", err
+		return MineSnapshot{}, err
 	}
 	if sp.Band == 0 {
 		sp.Band = m.opts.DefaultBand
@@ -209,180 +200,72 @@ func (m *Miner) Submit(sp MineSpec) (string, error) {
 	if sp.MaxFindings == 0 {
 		sp.MaxFindings = m.opts.MaxFindings
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return "", ErrMinerClosed
-	}
-	if len(m.queue) == cap(m.queue) {
-		return "", ErrMineQueueFull
-	}
-	m.seq++
-	id := fmt.Sprintf("m%06d", m.seq)
-	j := &mineJob{
-		snap: MineSnapshot{ID: id, Spec: sp, Status: spec.StatusQueued, SubmittedAt: time.Now()},
-		stop: make(chan struct{}),
-	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.evictLocked()
-	m.queue <- j // cannot block: capacity checked above under m.mu
-	m.submitted++
-	m.log.Info("mine job submitted",
-		slog.String("job", id),
-		slog.String("model", sp.Model),
-		slog.Float64("band", sp.Band))
-	return id, nil
+	return m.jobs.Submit(sweep{spec: sp}, nil)
 }
 
-// evictLocked drops the oldest terminal jobs past MaxHistory.
-func (m *Miner) evictLocked() {
-	for len(m.order) > m.opts.MaxHistory {
-		evicted := false
-		for i, id := range m.order {
-			if j := m.jobs[id]; j != nil && j.terminal() {
-				delete(m.jobs, id)
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything retained is still live
-		}
-	}
-}
-
-func (j *mineJob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snap.Status.Terminal()
-}
-
-func (m *Miner) worker() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		m.run(j)
-	}
-}
-
-func (m *Miner) run(j *mineJob) {
-	j.mu.Lock()
-	select {
-	case <-j.stop:
-		j.snap.Status = spec.StatusCancelled
-		j.snap.Error = "cancelled before start"
-		j.snap.FinishedAt = time.Now()
-		j.mu.Unlock()
-		return
-	default:
-	}
-	j.snap.Status = spec.StatusRunning
-	j.snap.StartedAt = time.Now()
-	sp := j.snap.Spec
-	j.mu.Unlock()
-
+// execute runs one sweep on a worker. Sweeps are short, so it never checks
+// the job's context: cancelling a running sweep lets it finish.
+func (m *Miner) execute(j *mineJob) error {
 	rows, err := m.store.Traffic()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.snap.FinishedAt = time.Now()
 	if err != nil {
-		j.snap.Status = spec.StatusFailed
-		j.snap.Error = err.Error()
-		m.log.Warn("mine job failed",
-			slog.String("job", j.snap.ID),
-			slog.String("error", err.Error()))
-		return
+		return err
 	}
-	j.snap.Swept = len(rows)
-	j.snap.Findings = SweepTraffic(rows, sp)
-	j.snap.Status = spec.StatusDone
-	m.log.Info("mine job done",
-		slog.String("job", j.snap.ID),
-		slog.Int("swept", j.snap.Swept),
-		slog.Int("findings", len(j.snap.Findings)))
+	findings := SweepTraffic(rows, j.Data.spec) // spec is immutable after Submit
+	j.Lock()
+	j.Data.swept, j.Data.findings = len(rows), findings
+	j.Unlock()
+	return nil
 }
 
-// Get returns a snapshot of one job.
+// Get returns a snapshot of one job, findings included.
 func (m *Miner) Get(id string) (MineSnapshot, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
+	j, ok := m.jobs.Job(id)
+	if !ok {
 		return MineSnapshot{}, fmt.Errorf("%w: %s", ErrUnknownMineJob, id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return cloneMineSnapshot(j.snap), nil
+	j.Lock()
+	defer j.Unlock()
+	return mineSnapshotLocked(j, true), nil
 }
 
 // List returns snapshots of every retained job in submission order, with
 // findings elided (fetch one job for its report).
-func (m *Miner) List() []MineSnapshot {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*mineJob, len(ids))
-	for i, id := range ids {
-		jobs[i] = m.jobs[id]
-	}
-	m.mu.Unlock()
-	out := make([]MineSnapshot, 0, len(jobs))
-	for _, j := range jobs {
-		j.mu.Lock()
-		snap := cloneMineSnapshot(j.snap)
-		j.mu.Unlock()
-		snap.Findings = nil
-		out = append(out, snap)
-	}
-	return out
-}
+func (m *Miner) List() []MineSnapshot { return m.jobs.List() }
 
 // Cancel cancels a queued job (running sweeps are too short to interrupt;
-// cancelling one is a no-op that reports its current status).
+// cancelling one lets it finish) and returns its snapshot.
 func (m *Miner) Cancel(id string) (MineSnapshot, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
+	snap, ok := m.jobs.Cancel(id)
+	if !ok {
 		return MineSnapshot{}, fmt.Errorf("%w: %s", ErrUnknownMineJob, id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.snap.Status == spec.StatusQueued {
-		close(j.stop)
-		j.snap.Status = spec.StatusCancelled
-		j.snap.Error = "cancelled"
-		j.snap.FinishedAt = time.Now()
-	}
-	return cloneMineSnapshot(j.snap), nil
+	return snap, nil
 }
 
 // Submitted counts jobs accepted since the miner started.
-func (m *Miner) Submitted() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.submitted
-}
+func (m *Miner) Submitted() int64 { return m.jobs.Submitted() }
 
-// Close drains the queue and stops the workers. Queued jobs still run;
-// Submit after Close fails with ErrMinerClosed.
-func (m *Miner) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
+// Close cancels queued sweeps, lets running ones finish and stops the
+// workers. Submit after Close fails with ErrMinerClosed.
+func (m *Miner) Close() { m.jobs.Close() }
+
+// mineSnapshotLocked copies a job for a reader, its findings only when
+// asked. Callers hold j's lock.
+func mineSnapshotLocked(j *mineJob, withFindings bool) MineSnapshot {
+	s := MineSnapshot{
+		ID:          j.ID,
+		Spec:        j.Data.spec,
+		Status:      j.State.Status,
+		Error:       j.State.Error,
+		SubmittedAt: j.State.SubmittedAt,
+		StartedAt:   j.State.StartedAt,
+		FinishedAt:  j.State.FinishedAt,
+		Swept:       j.Data.swept,
 	}
-	m.closed = true
-	close(m.queue)
-	m.mu.Unlock()
-	m.wg.Wait()
-}
-
-func cloneMineSnapshot(snap MineSnapshot) MineSnapshot {
-	out := snap
-	out.Findings = make([]Finding, len(snap.Findings))
-	copy(out.Findings, snap.Findings)
-	return out
+	if withFindings {
+		s.Findings = append([]Finding(nil), j.Data.findings...)
+	}
+	return s
 }
 
 // rowKey identifies one exact (model, feature-vector) pair: FNV-1a over the

@@ -447,11 +447,11 @@ func TestMinerRanksPlantedEvasions(t *testing.T) {
 
 	m := NewMiner(s, MinerOptions{})
 	defer m.Close()
-	id, err := m.Submit(MineSpec{Name: "acceptance"})
+	sub, err := m.Submit(MineSpec{Name: "acceptance"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := waitMine(t, m, id)
+	snap := waitMine(t, m, sub.ID)
 	if snap.Status != spec.StatusDone {
 		t.Fatalf("sweep ended %s (%s)", snap.Status, snap.Error)
 	}
@@ -488,11 +488,11 @@ func TestMinerRanksPlantedEvasions(t *testing.T) {
 	}
 
 	// Determinism: a second sweep over the same store ranks identically.
-	id2, err := m.Submit(MineSpec{})
+	sub2, err := m.Submit(MineSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap2 := waitMine(t, m, id2)
+	snap2 := waitMine(t, m, sub2.ID)
 	if !reflect.DeepEqual(stripTimes(snap.Findings), stripTimes(snap2.Findings)) {
 		t.Fatal("two sweeps over identical traffic disagreed")
 	}
@@ -551,10 +551,11 @@ func TestMinerLifecycle(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	m := NewMiner(s, MinerOptions{})
-	id, err := m.Submit(MineSpec{})
+	sub, err := m.Submit(MineSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := sub.ID
 	waitMine(t, m, id)
 	if _, err := m.Get("m999999"); !errors.Is(err, ErrUnknownMineJob) {
 		t.Fatalf("unknown job err = %v", err)
@@ -575,6 +576,24 @@ func TestMinerLifecycle(t *testing.T) {
 		t.Fatalf("Submit after Close = %v", err)
 	}
 	m.Close() // idempotent
+}
+
+// TestMinerSubmitSnapshotQueued: the snapshot Submit returns is always
+// queued, even when the sweep finishes before Submit returns.
+func TestMinerSubmitSnapshotQueued(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	m := NewMiner(s, MinerOptions{QueueDepth: 256, MaxHistory: 256})
+	defer m.Close()
+	for i := 0; i < 200; i++ {
+		snap, err := m.Submit(MineSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Status != spec.StatusQueued {
+			t.Fatalf("submit %d returned a %s snapshot, want queued", i, snap.Status)
+		}
+	}
 }
 
 // TestCodecRoundTrips: the binary payload codecs are bit-exact, including

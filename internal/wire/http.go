@@ -2,8 +2,12 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+
+	"malevade/internal/jobs"
 )
 
 // The HTTP rendering half of the taxonomy: every service tier that speaks
@@ -43,4 +47,46 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 // canonical one (unknown_model on 404, no_replicas on 503).
 func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	WriteJSON(w, status, Envelope{Error: fmt.Sprintf(format, args...), Code: code})
+}
+
+// DecodeJSON strictly decodes a request's JSON body into v: at most limit
+// bytes, no unknown fields, nothing after the value. With emptyOK an empty
+// body leaves v as it is. On failure it writes the refusal — 413 too_large
+// past limit, 400 bad_request otherwise — and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF && emptyOK:
+		return true
+	case errors.As(err, &tooLarge):
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	case dec.More():
+		WriteError(w, http.StatusBadRequest, "trailing data after JSON body")
+	default:
+		return true
+	}
+	return false
+}
+
+// WriteSubmitError renders a refused job submission (campaign, hardening
+// or mining): a typed *Error as it stands, backpressure as 429 queue_full,
+// a closed engine — the service is going away — as 503 unavailable, and
+// anything else, a spec the engine rejected, as 422 invalid_spec.
+func WriteSubmitError(w http.ResponseWriter, err error) {
+	status, code := http.StatusUnprocessableEntity, CodeInvalidSpec
+	var we *Error
+	switch {
+	case errors.As(err, &we):
+		status, code = we.Status, we.Code
+	case errors.Is(err, jobs.ErrQueueFull):
+		status, code = http.StatusTooManyRequests, CodeQueueFull
+	case errors.Is(err, jobs.ErrClosed):
+		status, code = http.StatusServiceUnavailable, CodeUnavailable
+	}
+	WriteErrorCode(w, status, code, "%v", err)
 }
